@@ -30,7 +30,7 @@ std::string RaftConfig::Describe() const {
 }
 
 PbftConfig PbftConfig::Standard(int n) {
-  CHECK_GE(n, 4) << "PBFT needs n >= 4";
+  CHECK_GE(n, kPbftMinNodes) << "PBFT needs n >= " << kPbftMinNodes;
   PbftConfig config;
   config.n = n;
   const int f = (n - 1) / 3;

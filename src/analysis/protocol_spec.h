@@ -31,6 +31,10 @@ struct RaftConfig {
   std::string Describe() const;
 };
 
+// The smallest cluster standard PBFT quorums are defined for: n = 3f + 1 with f = 1.
+// PbftConfig::Standard CHECKs it; the serving edge rejects smaller PBFT requests with it.
+inline constexpr int kPbftMinNodes = 4;
+
 // PBFT with explicit non-equivocation, persistence, view-change, and view-change-trigger
 // quorum sizes. Standard PBFT with f = floor((n-1)/3) uses q = ceil((n+f+1)/2) for the first
 // three and f+1 for the trigger.

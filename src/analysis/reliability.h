@@ -5,7 +5,9 @@
 //  probability that an algorithm guarantees safety and liveness in this specific deployment
 //  environment."  (§3)
 //
-// Three evaluation strategies sit behind one API (ablated in bench/perf_engine):
+// Three evaluation strategies sit behind one API (timed per call by the probcond_bench
+// replay rows analysis.enumeration.ns_per_config, analysis.count_dp.us_per_call and
+// analysis.montecarlo.ns_per_trial):
 //
 //   kExact       2^N enumeration over failure configurations. Handles predicates that depend
 //                on WHICH nodes failed and any model with exact configuration probabilities.

@@ -33,8 +33,8 @@ inline uint64_t SplitMix64(uint64_t& state) {
 // Derives the seed of logical stream `stream_id` under root `seed`.
 //
 // THE CHUNK SEEDING SCHEME (used by every parallelized sampler in the toolkit —
-// ReliabilityAnalyzer::EstimateEventProbability, EstimateRareEventProbability, and any
-// exec::ParallelReduce loop that draws randomness): a run with a caller-provided seed `s`
+// ReliabilityAnalyzer::EstimateEventProbability and any exec::ParallelReduce loop that
+// draws randomness): a run with a caller-provided seed `s`
 // splits its trials into fixed-size chunks and gives chunk c its own generator,
 //
 //   Rng rng(DeriveStreamSeed(s, c));

@@ -20,11 +20,13 @@ FleetClass FleetClass::FromCurve(const FaultCurve& curve, double age, int count)
   return cls;
 }
 
-Status FleetModel::Validate(const FleetParams& params, int max_states) {
+Status FleetModel::Validate(const FleetParams& params, FleetProtocol protocol,
+                            int max_states) {
   if (params.classes.empty()) {
     return InvalidArgumentError("fleet needs at least one class");
   }
-  bool any_old = false;
+  int old_nodes = 0;
+  int new_nodes = 0;
   int64_t states = 1;
   for (size_t c = 0; c < params.classes.size(); ++c) {
     const FleetClass& cls = params.classes[c];
@@ -38,7 +40,8 @@ Status FleetModel::Validate(const FleetParams& params, int max_states) {
       os << "class " << c << " failure_rate must be positive and finite";
       return InvalidArgumentError(os.str());
     }
-    any_old = any_old || cls.in_old;
+    old_nodes += cls.in_old ? cls.count : 0;
+    new_nodes += cls.in_new ? cls.count : 0;
     states *= cls.count + 1;
     if (states > max_states) {
       std::ostringstream os;
@@ -47,8 +50,15 @@ Status FleetModel::Validate(const FleetParams& params, int max_states) {
       return InvalidArgumentError(os.str());
     }
   }
-  if (!any_old) {
+  if (old_nodes == 0) {
     return InvalidArgumentError("no class is in the current (old) membership");
+  }
+  if (protocol == FleetProtocol::kPbft &&
+      (old_nodes < kPbftMinNodes || (new_nodes > 0 && new_nodes < kPbftMinNodes))) {
+    std::ostringstream os;
+    os << "a pbft fleet needs at least " << kPbftMinNodes << " nodes in each membership"
+       << " (old " << old_nodes << ", new " << new_nodes << ")";
+    return InvalidArgumentError(os.str());
   }
   if (!(params.repair_rate >= 0.0) || !std::isfinite(params.repair_rate)) {
     return InvalidArgumentError("repair_rate must be >= 0 and finite");
@@ -61,7 +71,7 @@ Status FleetModel::Validate(const FleetParams& params, int max_states) {
 
 FleetModel::FleetModel(FleetParams params, FleetProtocol protocol)
     : params_(std::move(params)), protocol_(protocol) {
-  const Status valid = Validate(params_);
+  const Status valid = Validate(params_, protocol_);
   CHECK(valid.ok()) << valid.ToString();
   strides_.reserve(params_.classes.size());
   int stride = 1;

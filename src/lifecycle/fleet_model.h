@@ -79,8 +79,10 @@ class FleetModel {
   FleetModel(FleetParams params, FleetProtocol protocol);
 
   // Status-returning validation for untrusted inputs (the serving edge), covering the same
-  // conditions the constructor CHECKs plus an optional tighter state cap.
-  static Status Validate(const FleetParams& params, int max_states = kMaxFleetStates);
+  // conditions the constructor CHECKs plus an optional tighter state cap. Under PBFT each
+  // non-empty membership (old, and new for reconfiguration) needs kPbftMinNodes nodes.
+  static Status Validate(const FleetParams& params, FleetProtocol protocol,
+                         int max_states = kMaxFleetStates);
 
   const FleetParams& params() const { return params_; }
   FleetProtocol protocol() const { return protocol_; }

@@ -1,6 +1,5 @@
 #include "src/serve/engine.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "src/analysis/placement.h"
 #include "src/analysis/reliability.h"
 #include "src/analysis/round_analysis.h"
-#include "src/common/rng.h"
 #include "src/faultmodel/joint_model.h"
 #include "src/faultmodel/round_schedule.h"
 #include "src/lifecycle/fleet_model.h"
@@ -36,11 +34,10 @@ Json ReportJson(const ReliabilityReport& report) {
   return object;
 }
 
-Result<Json> RunTable1(const ServeRequest& request, const CancelToken* cancel,
-                       const EngineProgress& progress) {
-  const ReliabilityAnalyzer analyzer =
-      ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities);
-  const PbftConfig config = PbftConfig::Standard(request.fault.n());
+// The exact Theorem 3.1 report; table1 and end_to_end both serve it.
+Result<ReliabilityReport> ExactPbftReport(const ReliabilityAnalyzer& analyzer,
+                                          const PbftConfig& config, const CancelToken* cancel,
+                                          const EngineProgress& progress) {
   ReliabilityReport report;
   Result<Probability> safe = analyzer.TryEventProbability(MakePbftSafePredicate(config),
                                                           AnalysisMethod::kAuto, cancel,
@@ -51,26 +48,18 @@ Result<Json> RunTable1(const ServeRequest& request, const CancelToken* cancel,
                                                           progress.enum_configs);
   if (!live.ok()) return live.status();
   Result<Probability> both = analyzer.TryEventProbability(
-      MakePbftSafeAndLivePredicate(config), AnalysisMethod::kAuto, cancel,
-                                                          progress.enum_configs);
+      MakePbftSafeAndLivePredicate(config), AnalysisMethod::kAuto, cancel, progress.enum_configs);
   if (!both.ok()) return both.status();
   report.safe = *safe;
   report.live = *live;
   report.safe_and_live = *both;
-
-  Json result = Json::Object();
-  result.Set("protocol", Json::String("pbft"));
-  result.Set("n", Json::Number(request.fault.n()));
-  result.Set("config", Json::String(config.Describe()));
-  result.Set("report", ReportJson(report));
-  return result;
+  return report;
 }
 
-Result<Json> RunTable2(const ServeRequest& request, const CancelToken* cancel,
-                       const EngineProgress& progress) {
-  const ReliabilityAnalyzer analyzer =
-      ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities);
-  const RaftConfig config = RaftConfig::Standard(request.fault.n());
+// The exact Theorem 3.2 report; table2 and end_to_end both serve it.
+Result<ReliabilityReport> ExactRaftReport(const ReliabilityAnalyzer& analyzer,
+                                          const RaftConfig& config, const CancelToken* cancel,
+                                          const EngineProgress& progress) {
   ReliabilityReport report;
   const bool structurally_safe = RaftIsSafeStructurally(config);
   report.safe = structurally_safe ? Probability::One() : Probability::Zero();
@@ -80,12 +69,38 @@ Result<Json> RunTable2(const ServeRequest& request, const CancelToken* cancel,
   if (!live.ok()) return live.status();
   report.live = *live;
   report.safe_and_live = structurally_safe ? report.live : Probability::Zero();
+  return report;
+}
+
+Result<Json> RunTable1(const ServeRequest& request, const CancelToken* cancel,
+                       const EngineProgress& progress) {
+  const PbftConfig config = PbftConfig::Standard(request.fault.n());
+  Result<ReliabilityReport> report = ExactPbftReport(
+      ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities), config, cancel,
+      progress);
+  if (!report.ok()) return report.status();
+
+  Json result = Json::Object();
+  result.Set("protocol", Json::String("pbft"));
+  result.Set("n", Json::Number(request.fault.n()));
+  result.Set("config", Json::String(config.Describe()));
+  result.Set("report", ReportJson(*report));
+  return result;
+}
+
+Result<Json> RunTable2(const ServeRequest& request, const CancelToken* cancel,
+                       const EngineProgress& progress) {
+  const RaftConfig config = RaftConfig::Standard(request.fault.n());
+  Result<ReliabilityReport> report = ExactRaftReport(
+      ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities), config, cancel,
+      progress);
+  if (!report.ok()) return report.status();
 
   Json result = Json::Object();
   result.Set("protocol", Json::String("raft"));
   result.Set("n", Json::Number(request.fault.n()));
   result.Set("config", Json::String(config.Describe()));
-  result.Set("report", ReportJson(report));
+  result.Set("report", ReportJson(*report));
   return result;
 }
 
@@ -143,80 +158,18 @@ Result<Json> RunPlacement(const ServeRequest& request, const CancelToken* cancel
   return result;
 }
 
-// Degraded-mode estimate of one predicate probability: a seeded Monte Carlo run standing
-// in for the exact enumeration. The seed is a fixed function of the stream index alone, so
-// a degraded answer is bit-deterministic — the same request degrades to the same bytes on
-// every server. `max_ci_width` accumulates the widest Wilson interval, reported back to
-// the client as the honesty label on the approximation.
-template <typename Predicate>
-Result<Probability> EstimateDegraded(const ReliabilityAnalyzer& analyzer,
-                                     Predicate&& predicate, uint64_t trials, uint64_t stream,
-                                     const CancelToken* cancel,
-                                     const EngineProgress& progress, double* max_ci_width) {
-  MonteCarloOptions options;
-  options.trials = trials;
-  options.seed = DeriveStreamSeed(0xDE64ull, stream);  // "DEGD"
-  options.cancel = cancel;
-  options.progress = progress.mc_trials;
-  Result<ConfidenceInterval> estimate =
-      analyzer.TryEstimateEventProbability(std::forward<Predicate>(predicate), options);
-  if (!estimate.ok()) return estimate.status();
-  *max_ci_width = std::max(*max_ci_width, estimate->high - estimate->low);
-  return Probability::FromProbability(estimate->point);
-}
-
 Result<Json> RunEndToEnd(const ServeRequest& request, const CancelToken* cancel,
                          const EngineProgress& progress) {
   const ReliabilityAnalyzer analyzer =
       ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities);
-  const bool degraded = request.degraded && request.degraded_trials > 0;
-  double max_ci_width = 0.0;
+  const int n = request.fault.n();
+  Result<ReliabilityReport> consensus =
+      request.protocol == "raft"
+          ? ExactRaftReport(analyzer, RaftConfig::Standard(n), cancel, progress)
+          : ExactPbftReport(analyzer, PbftConfig::Standard(n), cancel, progress);
+  if (!consensus.ok()) return consensus.status();
   EndToEndParams params;
-  if (request.protocol == "raft") {
-    const RaftConfig config = RaftConfig::Standard(request.fault.n());
-    const bool structurally_safe = RaftIsSafeStructurally(config);
-    params.consensus.safe = structurally_safe ? Probability::One() : Probability::Zero();
-    Result<Probability> live =
-        degraded ? EstimateDegraded(analyzer, MakeRaftLivePredicate(config),
-                                    request.degraded_trials, 1, cancel, progress,
-                                    &max_ci_width)
-                 : analyzer.TryEventProbability(MakeRaftLivePredicate(config),
-                                                AnalysisMethod::kAuto, cancel,
-                                                progress.enum_configs);
-    if (!live.ok()) return live.status();
-    params.consensus.live = *live;
-    params.consensus.safe_and_live =
-        structurally_safe ? params.consensus.live : Probability::Zero();
-  } else {
-    const PbftConfig config = PbftConfig::Standard(request.fault.n());
-    Result<Probability> safe =
-        degraded ? EstimateDegraded(analyzer, MakePbftSafePredicate(config),
-                                    request.degraded_trials, 2, cancel, progress,
-                                    &max_ci_width)
-                 : analyzer.TryEventProbability(MakePbftSafePredicate(config),
-                                                AnalysisMethod::kAuto, cancel,
-                                                progress.enum_configs);
-    if (!safe.ok()) return safe.status();
-    Result<Probability> live =
-        degraded ? EstimateDegraded(analyzer, MakePbftLivePredicate(config),
-                                    request.degraded_trials, 3, cancel, progress,
-                                    &max_ci_width)
-                 : analyzer.TryEventProbability(MakePbftLivePredicate(config),
-                                                AnalysisMethod::kAuto, cancel,
-                                                progress.enum_configs);
-    if (!live.ok()) return live.status();
-    Result<Probability> both =
-        degraded ? EstimateDegraded(analyzer, MakePbftSafeAndLivePredicate(config),
-                                    request.degraded_trials, 4, cancel, progress,
-                                    &max_ci_width)
-                 : analyzer.TryEventProbability(MakePbftSafeAndLivePredicate(config),
-                                                AnalysisMethod::kAuto, cancel,
-                                                progress.enum_configs);
-    if (!both.ok()) return both.status();
-    params.consensus.safe = *safe;
-    params.consensus.live = *live;
-    params.consensus.safe_and_live = *both;
-  }
+  params.consensus = *consensus;
   params.window_hours = request.window_hours;
   params.mean_time_to_recover = request.mttr_hours;
   params.data_loss_given_violation = request.data_loss_given_violation;
@@ -230,11 +183,6 @@ Result<Json> RunEndToEnd(const ServeRequest& request, const CancelToken* cancel,
   result.Set("availability", Json::String(FormatPercent(report.availability)));
   result.Set("mission_durability", Json::String(FormatPercent(report.mission_durability)));
   result.Set("outage_minutes_per_year", Json::Number(report.outage_minutes_per_year));
-  if (degraded) {
-    result.Set("degraded", Json::Bool(true));
-    result.Set("degraded_trials", Json::Number(request.degraded_trials));
-    result.Set("max_ci_width", Json::Number(max_ci_width));
-  }
   return result;
 }
 
@@ -287,10 +235,6 @@ Result<Json> RunMonteCarlo(const ServeRequest& request, const CancelToken* cance
   return result;
 }
 
-FleetProtocol ProtocolFromRequest(const ServeRequest& request) {
-  return request.protocol == "pbft" ? FleetProtocol::kPbft : FleetProtocol::kRaft;
-}
-
 // Probability rendered the same way ReportJson renders report cells: the paper-formatted
 // percent string next to the raw complement for programmatic clients.
 void SetProbabilityFields(Json* object, std::string_view name,
@@ -301,7 +245,7 @@ void SetProbabilityFields(Json* object, std::string_view name,
 
 Result<Json> RunAvailability(const ServeRequest& request, const CancelToken* cancel,
                              const EngineProgress& progress) {
-  const FleetModel model(request.fleet, ProtocolFromRequest(request));
+  const FleetModel model(request.fleet, request.fleet_protocol());
   CtmcSolveOptions options;
   options.cancel = cancel;
   options.progress = progress.ctmc_steps;
@@ -373,7 +317,7 @@ Result<Json> RunMissionReliability(const ServeRequest& request, const CancelToke
     return result;
   }
   // Fleet CTMC mode: P(no liveness outage within the mission) via uniformization.
-  const FleetModel model(request.fleet, ProtocolFromRequest(request));
+  const FleetModel model(request.fleet, request.fleet_protocol());
   CtmcSolveOptions options;
   options.cancel = cancel;
   options.progress = progress.ctmc_steps;
@@ -399,7 +343,7 @@ Result<Json> RunRepairSweep(const ServeRequest& request, const CancelToken* canc
     target = request.sweep_target_availability;
   }
   Result<RepairSweepResult> sweep =
-      TryRepairRateSweep(request.fleet, ProtocolFromRequest(request),
+      TryRepairRateSweep(request.fleet, request.fleet_protocol(),
                          request.sweep_repair_rates, target, options);
   if (!sweep.ok()) return sweep.status();
 

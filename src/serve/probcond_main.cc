@@ -8,10 +8,10 @@
 //            [--metrics-interval-s N --metrics-path FILE]
 //
 // The --brownout-* flags tune the overload circuit breaker (docs/SERVING.md, "Brownout &
-// health"): after --brownout-trip-sheds sheds within the breaker window, montecarlo and
-// end_to_end answer in degraded mode (capped at --brownout-trials trials, flagged
-// "degraded": true) through a --brownout-lane-slot side lane until
-// --brownout-recover-admits consecutive normal admits close the breaker. --no-brownout
+// health"): after --brownout-trip-sheds sheds within the breaker window, montecarlo
+// answers in degraded mode (capped at --brownout-trials trials, flagged "degraded": true)
+// through a --brownout-lane-slot side lane until --brownout-recover-admits consecutive
+// normal admits close the breaker; every other kind keeps shedding. --no-brownout
 // disables degradation entirely (overload always sheds).
 //
 // --reactors picks the transport's reactor-shard count (0 = auto), --max-inflight-per-conn

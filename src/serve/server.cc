@@ -97,11 +97,11 @@ std::string SpliceDegradedCachedResponse(uint64_t id, const std::string& cached_
   return out;
 }
 
-// The verbs the brownout lane may answer in degraded mode: the ones whose cost is a free
-// parameter (trial counts), so a cheaper honest answer exists.
-bool DegradableKind(RequestKind kind) {
-  return kind == RequestKind::kMonteCarlo || kind == RequestKind::kEndToEnd;
-}
+// The one verb the brownout lane may answer in degraded mode: montecarlo, whose cost is a
+// free parameter (its trial count), so a capped run is a cheaper honest answer. Every
+// other kind keeps shedding; end_to_end's exact count DP costs microseconds, far less than
+// any sampled stand-in.
+bool DegradableKind(RequestKind kind) { return kind == RequestKind::kMonteCarlo; }
 
 }  // namespace
 

@@ -60,9 +60,9 @@
 namespace probcon::serve {
 
 // Brownout circuit breaker: under sustained shedding the server stops failing the
-// expensive-but-degradable verbs (montecarlo, end_to_end) outright and instead answers
-// them in degraded mode — a reduced trial count, or a stale-but-flagged memo entry —
-// through a small dedicated admission lane. Every degraded answer carries
+// expensive-but-degradable verb (montecarlo) outright and instead answers it in degraded
+// mode — a reduced trial count, or a stale-but-flagged memo entry — through a small
+// dedicated admission lane. Every other kind keeps shedding. Every degraded answer carries
 // `"degraded": true`; normal answers are byte-identical to a build without brownout.
 struct BrownoutOptions {
   bool enabled = true;
@@ -76,7 +76,7 @@ struct BrownoutOptions {
   // Extra in-flight slots (on top of max_inflight) reserved for degraded answers while
   // the breaker is open.
   int degraded_lane = 4;
-  // Trial cap applied to degraded montecarlo / end_to_end runs.
+  // Trial cap applied to degraded montecarlo runs.
   uint64_t degraded_trials = 1u << 14;
 };
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "src/analysis/protocol_spec.h"
 #include "src/faultmodel/fault_curve.h"
 #include "src/faultmodel/round_schedule.h"
 #include "src/lifecycle/fleet_model.h"
@@ -142,6 +143,15 @@ Result<std::unique_ptr<FaultCurve>> CurveFromJson(const Json& curve) {
                               "\" (want constant, weibull, gompertz, or bathtub)");
 }
 
+// The smallest cluster a request's protocol admits: kPbftMinNodes for PBFT, 3 for Raft.
+int MinNodes(const std::string& protocol) { return protocol == "pbft" ? kPbftMinNodes : 3; }
+
+Status CheckMinNodes(std::string_view what, const std::string& protocol, int n) {
+  if (n >= MinNodes(protocol)) return Status::Ok();
+  return InvalidArgumentError(std::string(kWhat) + ": " + std::string(what) + " with " +
+                              protocol + " requires n >= " + std::to_string(MinNodes(protocol)));
+}
+
 Result<std::string> ReadProtocol(const Json& params) {
   std::string protocol;
   RETURN_IF_ERROR(JsonReadString(params, "protocol", &protocol, kWhat));
@@ -165,7 +175,8 @@ Json DoubleListJson(const std::vector<double>& values) {
 // lumped rates here (FleetClass::FromCurve semantics: hazard frozen at the class age), so
 // canonical keys and engines only ever see rates — a curve spec and its resolved rates
 // memoize to the same entry.
-Result<FleetParams> FleetFromJson(const Json* fleet_json, int max_states) {
+Result<FleetParams> FleetFromJson(const Json* fleet_json, FleetProtocol protocol,
+                                  int max_states) {
   if (fleet_json == nullptr || !fleet_json->IsObject()) {
     return InvalidArgumentError(std::string(kWhat) + ": a \"fleet\" object is required");
   }
@@ -219,7 +230,7 @@ Result<FleetParams> FleetFromJson(const Json* fleet_json, int max_states) {
   }
   RETURN_IF_ERROR(JsonReadDouble(*fleet_json, "repair_rate", &params.repair_rate, kWhat));
   RETURN_IF_ERROR(JsonReadInt(*fleet_json, "repair_servers", &params.repair_servers, kWhat));
-  Status valid = FleetModel::Validate(params, max_states);
+  Status valid = FleetModel::Validate(params, protocol, max_states);
   if (!valid.ok()) {
     return InvalidArgumentError(std::string(kWhat) + ": " + valid.message());
   }
@@ -491,7 +502,7 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
                                     ") disagrees with the fault spec (" +
                                     std::to_string(request.fault.n()) + " nodes)");
       }
-      const int min_n = kind == RequestKind::kTable1 ? 4 : 3;
+      const int min_n = kind == RequestKind::kTable1 ? kPbftMinNodes : 3;
       if (request.fault.n() < min_n) {
         return InvalidArgumentError(std::string(kWhat) + ": " +
                                     std::string(RequestKindName(kind)) + " requires n >= " +
@@ -555,9 +566,7 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
           FaultSpec::FromJson(fault_json, n, /*default_p=*/0.01, kMaxClusterNodes);
       if (!fault.ok()) return fault.status();
       request.fault = *std::move(fault);
-      if (request.fault.n() < 3) {
-        return InvalidArgumentError(std::string(kWhat) + ": end_to_end requires n >= 3");
-      }
+      RETURN_IF_ERROR(CheckMinNodes("end_to_end", request.protocol, request.fault.n()));
       RETURN_IF_ERROR(JsonReadDouble(params, "window_hours", &request.window_hours, kWhat));
       RETURN_IF_ERROR(JsonReadDouble(params, "mttr_hours", &request.mttr_hours, kWhat));
       RETURN_IF_ERROR(JsonReadDouble(params, "data_loss_given_violation",
@@ -598,17 +607,17 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
                                 kMaxClusterNodes);
         if (!fault.ok()) return fault.status();
         request.fault = *std::move(fault);
-        if (request.fault.n() < 3) {
-          return InvalidArgumentError(std::string(kWhat) + ": montecarlo requires n >= 3");
-        }
+        RETURN_IF_ERROR(CheckMinNodes("montecarlo", request.protocol, request.fault.n()));
       } else if (model_kind == "beta_binomial") {
         request.beta_binomial = true;
         RETURN_IF_ERROR(JsonReadInt(*model, "n", &request.beta_n, kWhat));
         RETURN_IF_ERROR(JsonReadDouble(*model, "alpha", &request.alpha, kWhat));
         RETURN_IF_ERROR(JsonReadDouble(*model, "beta", &request.beta, kWhat));
-        if (request.beta_n < 3 || request.beta_n > kMaxClusterNodes) {
+        RETURN_IF_ERROR(
+            CheckMinNodes("beta_binomial model", request.protocol, request.beta_n));
+        if (request.beta_n > kMaxClusterNodes) {
           return InvalidArgumentError(std::string(kWhat) +
-                                      ": beta_binomial model requires 3 <= n <= " +
+                                      ": beta_binomial model requires n <= " +
                                       std::to_string(kMaxClusterNodes));
         }
         if (!(request.alpha > 0.0) || !(request.beta > 0.0)) {
@@ -634,7 +643,7 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
       if (!protocol.ok()) return protocol.status();
       request.protocol = *std::move(protocol);
       Result<FleetParams> fleet =
-          FleetFromJson(params.Find("fleet"), kMaxFleetStatesServe);
+          FleetFromJson(params.Find("fleet"), request.fleet_protocol(), kMaxFleetStatesServe);
       if (!fleet.ok()) return fleet.status();
       request.fleet = *std::move(fleet);
       RETURN_IF_ERROR(JsonReadBool(params, "reconfiguration", &request.reconfiguration,
@@ -670,12 +679,11 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
                                       ": give \"schedule\" or \"fleet\", not both");
         }
         request.schedule_mode = true;
-        const int min_n = request.protocol == "pbft" ? 4 : 3;
-        RETURN_IF_ERROR(ParseSchedule(*schedule, min_n, &request));
+        RETURN_IF_ERROR(ParseSchedule(*schedule, MinNodes(request.protocol), &request));
         return request;
       }
       Result<FleetParams> fleet =
-          FleetFromJson(params.Find("fleet"), kMaxFleetStatesServe);
+          FleetFromJson(params.Find("fleet"), request.fleet_protocol(), kMaxFleetStatesServe);
       if (!fleet.ok()) return fleet.status();
       request.fleet = *std::move(fleet);
       RETURN_IF_ERROR(JsonReadDouble(params, "mission_hours", &request.mission_hours, kWhat));
@@ -695,7 +703,8 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
       Result<std::string> protocol = ReadProtocol(params);
       if (!protocol.ok()) return protocol.status();
       request.protocol = *std::move(protocol);
-      Result<FleetParams> fleet = FleetFromJson(params.Find("fleet"), kMaxSweepStates);
+      Result<FleetParams> fleet =
+          FleetFromJson(params.Find("fleet"), request.fleet_protocol(), kMaxSweepStates);
       if (!fleet.ok()) return fleet.status();
       request.fleet = *std::move(fleet);
       // The sweep replaces the repair rate point by point; zeroing the base keeps requests

@@ -144,10 +144,16 @@ struct ServeRequest {
   // CanonicalParams/CanonicalKey: the server sets them on its own copy when it admits a
   // request into the degraded lane, and the engines honor them by capping trial counts.
   bool degraded = false;
-  uint64_t degraded_trials = 0;  // Trial cap for degraded montecarlo / end_to_end runs.
+  uint64_t degraded_trials = 0;  // Trial cap for degraded montecarlo runs.
 
   // Parses and validates the `params` object of a request envelope.
   static Result<ServeRequest> FromParams(RequestKind kind, const Json& params);
+
+  // `protocol` as the lifecycle engines name it (availability, mission_reliability,
+  // repair_sweep).
+  FleetProtocol fleet_protocol() const {
+    return protocol == "pbft" ? FleetProtocol::kPbft : FleetProtocol::kRaft;
+  }
 
   // Canonical parameter object: fixed field order, resolved fault probabilities, defaults
   // materialized.

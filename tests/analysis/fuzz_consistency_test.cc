@@ -1,11 +1,10 @@
 // Randomized cross-strategy consistency checks: for arbitrary heterogeneous clusters and
-// arbitrary count-threshold predicates, the exact 2^N enumeration, the Poisson-binomial DP,
-// Monte Carlo, and importance sampling must all agree (within their respective error bars).
+// arbitrary count-threshold predicates, the exact 2^N enumeration, the Poisson-binomial DP
+// and Monte Carlo must all agree (within their respective error bars).
 // This is the fuzz layer guarding the analyzer's three code paths against divergence.
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/importance_sampling.h"
 #include "src/analysis/reliability.h"
 #include "src/common/rng.h"
 
@@ -55,25 +54,6 @@ TEST_P(FuzzConsistencyTest, MonteCarloWithinInterval) {
   // Wilson 95% interval, widened slightly for the multiple-comparison sweep.
   EXPECT_GE(exact, ci.low - 0.01);
   EXPECT_LE(exact, ci.high + 0.01);
-}
-
-TEST_P(FuzzConsistencyTest, ImportanceSamplingMatchesExactTail) {
-  Rng rng(GetParam() * 101 + 3);
-  const int n = 4 + static_cast<int>(rng.NextBelow(8));
-  const auto probs = RandomProbabilities(rng, n);
-  const int threshold = n / 2 + 1;
-  const IndependentFailureModel model(probs);
-  const CountPredicate rare(
-      [threshold](int failures, int /*nodes*/) { return failures >= threshold; });
-  const auto analyzer = ReliabilityAnalyzer::ForIndependentNodes(probs);
-  const double exact = analyzer.EventProbability(rare).value();
-  ImportanceSamplingOptions options;
-  options.trials = 120'000;
-  options.seed = GetParam();
-  const auto estimate = EstimateRareEventProbability(model, rare, options);
-  EXPECT_NEAR(estimate.probability, exact,
-              std::max(6.0 * estimate.standard_error, exact * 0.05))
-      << "n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzConsistencyTest,

@@ -1,6 +1,7 @@
 #include "src/analysis/protocol_spec.h"
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -78,6 +79,13 @@ struct Table1Row {
   double live_complement;
 };
 
+// Names each case by its contents; without this the generated test name is a byte dump
+// that includes padding, so it changes whenever the binary does.
+void PrintTo(const Table1Row& row, std::ostream* os) {
+  *os << "N=" << row.n << " safe_complement=" << row.safe_complement
+      << " live_complement=" << row.live_complement;
+}
+
 class Table1Test : public ::testing::TestWithParam<Table1Row> {};
 
 TEST_P(Table1Test, CellReproduces) {
@@ -111,6 +119,12 @@ struct Table2Cell {
   double p;
   const char* expected;  // The paper's printed cell.
 };
+
+// As for Table1Row; here the byte dump also holds the string's address, which changes
+// from run to run.
+void PrintTo(const Table2Cell& cell, std::ostream* os) {
+  *os << "N=" << cell.n << " p=" << cell.p << " paper=" << cell.expected << "%";
+}
 
 class Table2Test : public ::testing::TestWithParam<Table2Cell> {};
 

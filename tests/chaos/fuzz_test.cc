@@ -7,6 +7,7 @@
 // The negative control is what proves the oracle has teeth: a fuzzer that can't catch a
 // known-broken quorum rule says nothing when it passes an honest one.
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -166,8 +167,10 @@ TEST(ChaosFuzzTest, CampaignDumpsReplayableReprosForViolations) {
   options.run = MisQuorumedRaft();
   options.seed = 515;
   options.plan_count = 6;
-  options.repro_dir = std::string(::testing::TempDir()) + "/chaos_repro";
-  std::filesystem::remove_all(options.repro_dir);
+  // A directory of its own, so concurrent runs of this test never share one.
+  std::string repro_dir = std::string(::testing::TempDir()) + "/chaos_repro_XXXXXX";
+  ASSERT_NE(mkdtemp(repro_dir.data()), nullptr) << repro_dir;
+  options.repro_dir = repro_dir;
 
   const Result<FuzzReport> report = RunFuzzCampaign(options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -193,6 +196,7 @@ TEST(ChaosFuzzTest, CampaignDumpsReplayableReprosForViolations) {
                            std::to_string(violation.plan_index);
   EXPECT_TRUE(std::filesystem::exists(stem + ".min.plan.json"));
   EXPECT_TRUE(std::filesystem::exists(stem + ".trace.json"));
+  std::filesystem::remove_all(options.repro_dir);
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
 // End-to-end determinism of the parallel analysis engine: every probability the toolkit
 // reports must be BIT-IDENTICAL for any worker count (PROBCON_THREADS = 0, 1, 2, 8, ...).
 // This is the contract documented in src/exec/thread_pool.h and docs/PERFORMANCE.md; these
-// tests drive the real algorithms (Monte Carlo, exact enumeration, importance sampling,
-// sensitivity, placement search, simulator sweeps) under ScopedThreadPool overrides and
-// compare results with exact equality — no tolerances.
+// tests drive the real algorithms (Monte Carlo, exact enumeration, sensitivity, placement
+// search, simulator sweeps) under ScopedThreadPool overrides and compare results with exact
+// equality — no tolerances.
 
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/importance_sampling.h"
 #include "src/analysis/placement.h"
 #include "src/analysis/reliability.h"
 #include "src/analysis/sensitivity.h"
@@ -91,19 +90,6 @@ TEST(DeterminismTest, ExactEnumerationIsThreadCountInvariant) {
   ExpectIdenticalAcrossPools([&] {
     const Probability p = analyzer.EventProbability(predicate, AnalysisMethod::kExact);
     return std::vector<double>{p.value(), p.complement()};
-  });
-}
-
-TEST(DeterminismTest, ImportanceSamplingIsThreadCountInvariant) {
-  const IndependentFailureModel model(MixedProbabilities(20));
-  const auto predicate =
-      CountPredicate([](int failures, int n) { return failures >= n / 2 + 1; });
-  ImportanceSamplingOptions options;
-  options.trials = 100'000;
-  ExpectIdenticalAcrossPools([&] {
-    const auto estimate = EstimateRareEventProbability(model, predicate, options);
-    return std::vector<double>{estimate.probability, estimate.standard_error,
-                               static_cast<double>(estimate.hits)};
   });
 }
 

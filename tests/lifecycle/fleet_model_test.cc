@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/protocol_spec.h"
 #include "src/common/cancellation.h"
 #include "src/faultmodel/afr.h"
 #include "src/faultmodel/fault_curve.h"
@@ -24,17 +25,30 @@ FleetParams Homogeneous(int n, double lambda, double mu, int servers) {
 }
 
 TEST(FleetModelTest, ValidateRejectsStructuralErrors) {
-  EXPECT_FALSE(FleetModel::Validate({}).ok());  // No classes.
-  EXPECT_FALSE(FleetModel::Validate(Homogeneous(0, 1e-3, 0.1, 1)).ok());
-  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, 0.0, 0.1, 1)).ok());
-  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, -1.0, 0.1, 1)).ok());
-  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, 1e-3, -0.1, 1)).ok());
-  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, 1e-3, 0.1, 0)).ok());
-  EXPECT_FALSE(FleetModel::Validate(Homogeneous(9999, 1e-3, 0.1, 1)).ok());  // State cap.
+  constexpr FleetProtocol kRaft = FleetProtocol::kRaft;
+  constexpr FleetProtocol kPbft = FleetProtocol::kPbft;
+  EXPECT_FALSE(FleetModel::Validate({}, kRaft).ok());  // No classes.
+  EXPECT_FALSE(FleetModel::Validate(Homogeneous(0, 1e-3, 0.1, 1), kRaft).ok());
+  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, 0.0, 0.1, 1), kRaft).ok());
+  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, -1.0, 0.1, 1), kRaft).ok());
+  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, 1e-3, -0.1, 1), kRaft).ok());
+  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, 1e-3, 0.1, 0), kRaft).ok());
+  EXPECT_FALSE(FleetModel::Validate(Homogeneous(9999, 1e-3, 0.1, 1), kRaft).ok());  // Cap.
   FleetParams no_old = Homogeneous(3, 1e-3, 0.1, 1);
   no_old.classes[0].in_old = false;
-  EXPECT_FALSE(FleetModel::Validate(no_old).ok());  // Empty current membership.
-  EXPECT_TRUE(FleetModel::Validate(Homogeneous(5, 1e-3, 0.1, 2)).ok());
+  EXPECT_FALSE(FleetModel::Validate(no_old, kRaft).ok());  // Empty current membership.
+  EXPECT_TRUE(FleetModel::Validate(Homogeneous(5, 1e-3, 0.1, 2), kRaft).ok());
+
+  // PBFT needs kPbftMinNodes in the current membership and in a non-empty new one.
+  EXPECT_TRUE(FleetModel::Validate(Homogeneous(3, 1e-3, 0.1, 1), kRaft).ok());
+  EXPECT_FALSE(FleetModel::Validate(Homogeneous(3, 1e-3, 0.1, 1), kPbft).ok());
+  EXPECT_TRUE(FleetModel::Validate(Homogeneous(kPbftMinNodes, 1e-3, 0.1, 1), kPbft).ok());
+  FleetParams shrinking = Homogeneous(3, 1e-3, 0.1, 1);
+  shrinking.classes.push_back({.count = 2, .failure_rate = 1e-3, .in_new = false});
+  EXPECT_FALSE(FleetModel::Validate(shrinking, kPbft).ok());
+  FleetParams retiring = Homogeneous(4, 1e-3, 0.1, 1);
+  retiring.classes[0].in_new = false;
+  EXPECT_TRUE(FleetModel::Validate(retiring, kPbft).ok());
 }
 
 TEST(FleetModelTest, StateSpaceIsPerClassProduct) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -23,8 +24,10 @@ namespace fs = std::filesystem;
 class LintE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "probcon_lint_e2e";
-    fs::remove_all(root_);
+    // One directory per process: ctest runs the cases of this fixture concurrently.
+    std::string dir = (fs::path(::testing::TempDir()) / "probcon_lint_e2e_XXXXXX").string();
+    ASSERT_NE(mkdtemp(dir.data()), nullptr) << dir;
+    root_ = dir;
     const fs::path fixtures(PROBCON_LINT_FIXTURE_DIR);
     ASSERT_TRUE(fs::is_directory(fixtures)) << fixtures;
     for (const auto& entry : fs::directory_iterator(fixtures)) {
@@ -72,8 +75,21 @@ TEST_F(LintE2eTest, MiniTreeProducesExactlyTheExpectedFindings) {
       {"src/exec/helpwait_fire.cc", {{"probcon-blocking-under-lock", 1}}},
       {"src/serve/lockorder_fire.cc", {{"probcon-lock-order", 1}}},
       {"src/serve/guarded_fire.cc", {{"probcon-guarded-field", 1}}},
+      // R9: only its own .cc includes orphan_fire.h. orphan_clean.h is absent because
+      // orphan_fire.cc includes it; the hygiene headers have no includer either and are
+      // absent because a suppression with a reason on their line 1 exempts them.
+      {"src/orphan_fire.h", {{"probcon-orphan-header", 1}}},
   };
   EXPECT_EQ(by_file_rule, expected);
+}
+
+// R9 judges a linted subtree against the whole tree: orphan_clean.h's only caller,
+// orphan_fire.cc, lies outside the single file linted here.
+TEST_F(LintE2eTest, OrphanRuleJudgesOneFileAgainstTheWholeTree) {
+  EXPECT_TRUE(LintTree(root_.string(), {"src/orphan_clean.h"}).empty());
+  const std::vector<Finding> fire = LintTree(root_.string(), {"src/orphan_fire.h"});
+  ASSERT_EQ(fire.size(), 1u);
+  EXPECT_EQ(fire[0].rule, "probcon-orphan-header");
 }
 
 TEST_F(LintE2eTest, FindingsAreSortedAndAnchored) {

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 
+#include "tools/lint/driver.h"
+
 namespace probcon::lint {
 namespace {
 
@@ -107,7 +109,7 @@ TEST(DeterminismRule, ServeBenchFileEntryMatchesExactFile) {
   )code");
   EXPECT_EQ(CountRule(bench_ok, "probcon-determinism"), 0);
 
-  const auto other_bench = LintSource("bench/perf_engine.cc", R"code(
+  const auto other_bench = LintSource("bench/sim_validation.cc", R"code(
     void T() { auto now = std::chrono::steady_clock::now(); }
   )code");
   EXPECT_EQ(CountRule(other_bench, "probcon-determinism"), 1);
@@ -311,6 +313,43 @@ TEST(KahanRule, InnerScopeDeclarationAtSameLoopDepthIsClean) {
     }
   )code");
   EXPECT_EQ(CountRule(findings, "probcon-kahan"), 0);
+}
+
+// --- R9: orphan headers (tree-level) -----------------------------------------------------
+
+TEST(OrphanHeaderRule, OwnCcAndTestsAreNotCallers) {
+  const auto findings = FindOrphanHeaders({
+      {"src/a/mod.h", "#pragma once\nint Mod();\n"},
+      {"src/a/mod.cc", "#include \"src/a/mod.h\"\nint Mod() { return 1; }\n"},
+      {"tests/a/mod_test.cc", "#include \"src/a/mod.h\"\n"},
+  });
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "probcon-orphan-header");
+  EXPECT_EQ(findings[0].path, "src/a/mod.h");
+  EXPECT_EQ(findings[0].line, 1);
+}
+
+TEST(OrphanHeaderRule, AnyOtherLintedIncluderIsACaller) {
+  const auto findings = FindOrphanHeaders({
+      {"src/a/mod.h", "int Mod();\n"},
+      {"bench/mod_bench.cc", "#include \"src/a/mod.h\"\n"},
+      {"src/b/lib.h", "int Lib();\n"},
+      {"src/c/user.h", "#include \"src/b/lib.h\"\n"},
+      {"examples/demo.cc", "  #  include \"src/c/user.h\"\n"},
+  });
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(OrphanHeaderRule, OnlyHeadersUnderSrcAndRealDirectivesCount) {
+  const auto findings = FindOrphanHeaders({
+      {"bench/bench_util.h", "int Util();\n"},  // not under src/: never judged
+      {"src/e/z.h", "int Z();\n"},
+      {"src/f.cc",
+       "// #include \"src/e/z.h\"\n"
+       "const char* k = \"#include \\\"src/e/z.h\\\"\";\n"},
+  });
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].path, "src/e/z.h");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "src/prob/probability.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,12 @@ struct FormatCase {
   double complement;
   const char* expected;
 };
+
+// Names each case by its contents; without this the generated test name is a byte dump
+// that includes the string's address, so it changes from run to run.
+void PrintTo(const FormatCase& param, std::ostream* os) {
+  *os << "complement=" << param.complement << " paper=" << param.expected;
+}
 
 class FormatPercentTest : public ::testing::TestWithParam<FormatCase> {};
 

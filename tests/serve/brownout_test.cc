@@ -1,5 +1,5 @@
-// The brownout circuit breaker: sustained shedding trips the breaker, degradable verbs
-// then answer in degraded mode (capped trials, `"degraded": true`) or serve
+// The brownout circuit breaker: sustained shedding trips the breaker, the degradable verb
+// (montecarlo) then answers in degraded mode (capped trials, `"degraded": true`) or serve
 // stale-but-flagged memo entries through a dedicated admission lane, the `health` verb
 // exposes the state machine, and consecutive normal admits close the breaker again.
 // Degraded answers are bit-deterministic per seed.
@@ -13,6 +13,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "src/common/json.h"
 #include "src/obs/metrics.h"
@@ -91,11 +92,17 @@ TEST(BrownoutTest, NonDegradableKindsStillShedWhileTheBreakerIsOpen) {
   ASSERT_TRUE(tripping.ok());
   EXPECT_TRUE(tripping->degraded);  // trip_sheds=1: the first would-shed already degrades
 
-  // table1 is cheap and always answered exactly; it never rides the degraded lane.
-  auto shed = client.Query("table1", Params(R"({"n": 4})"));
-  ASSERT_TRUE(shed.ok());
-  EXPECT_EQ(shed->status.code(), StatusCode::kResourceExhausted);
-  EXPECT_FALSE(shed->degraded);
+  // table1 and end_to_end are cheap and always answered exactly; they never ride the
+  // degraded lane.
+  for (const auto& [kind, params] :
+       {std::pair<const char*, const char*>{"table1", R"({"n": 4})"},
+        {"end_to_end", R"({"protocol": "pbft", "n": 31})"},
+        {"end_to_end", R"({"protocol": "raft", "n": 5})"}}) {
+    auto shed = client.Query(kind, Params(params));
+    ASSERT_TRUE(shed.ok());
+    EXPECT_EQ(shed->status.code(), StatusCode::kResourceExhausted) << kind;
+    EXPECT_FALSE(shed->degraded) << kind;
+  }
 }
 
 TEST(BrownoutTest, DisabledBrownoutAlwaysSheds) {
@@ -117,7 +124,7 @@ TEST(BrownoutTest, DisabledBrownoutAlwaysSheds) {
 
 TEST(BrownoutTest, DegradedAnswersAreBitDeterministicPerSeed) {
   // Two independent servers, identically configured and identically tripped, must serve
-  // byte-identical degraded responses: the degraded estimator pins its own seeds.
+  // byte-identical degraded responses: a degraded run keeps the caller's seed.
   auto degraded_response = [](uint64_t request_seed) {
     ServerOptions options;
     options.max_inflight = 0;

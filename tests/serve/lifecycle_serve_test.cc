@@ -194,10 +194,14 @@ TEST(LifecycleCanonical, BaseRepairRateIsInertForSweeps) {
 }
 
 TEST(LifecycleCanonical, DifferentRequestsGetDifferentKeys) {
-  EXPECT_NE(KeyFor("availability", kBasicFleet),
+  // Four nodes: the smallest fleet PBFT admits.
+  EXPECT_NE(KeyFor("availability",
+                   R"({"protocol": "raft",
+                       "fleet": {"classes": [{"count": 4, "failure_rate": 0.001}],
+                                 "repair_rate": 0.1}})"),
             KeyFor("availability",
                    R"({"protocol": "pbft",
-                       "fleet": {"classes": [{"count": 3, "failure_rate": 0.001}],
+                       "fleet": {"classes": [{"count": 4, "failure_rate": 0.001}],
                                  "repair_rate": 0.1}})"));
   EXPECT_NE(KeyFor("availability", kBasicFleet),
             KeyFor("availability",

@@ -1,6 +1,6 @@
 // QueryServer behavior through the loopback transport: memoized answers with the cached
-// flag, load shedding at the admission limit, drain semantics, deadline enforcement, and
-// the inline ping path.
+// flag, load shedding at the admission limit, drain semantics, deadline enforcement, the
+// inline ping path, and the served end_to_end answer.
 
 #include "src/serve/server.h"
 
@@ -8,10 +8,12 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/common/json.h"
 #include "src/obs/metrics.h"
 #include "src/serve/client.h"
+#include "src/serve/engine.h"
 #include "src/serve/spec.h"
 
 namespace probcon::serve {
@@ -168,12 +170,62 @@ TEST(QueryServerTest, DeeplyNestedPayloadAnswersInvalidArgumentNotCrash) {
   EXPECT_TRUE(after->status.ok());
 }
 
+// PBFT's standard quorums need n >= 4: every PBFT case below must stop at the edge with
+// INVALID_ARGUMENT, since reaching PbftConfig::Standard's CHECK would abort the daemon.
 TEST(QueryServerTest, ValidationErrorsSurfaceAsInvalidArgument) {
   QueryServer server(ServerOptions{});
   ServeClient client(std::make_unique<LoopbackChannel>(server));
-  auto response = client.Query("table1", Params(R"({"n": 3})"));
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->status.code(), StatusCode::kInvalidArgument);
+  const std::string fleet3 = R"("fleet": {"classes": [{"count": 3, "failure_rate": 1e-3}], )"
+                             R"("repair_rate": 0.5})";
+  const std::pair<std::string, std::string> requests[] = {
+      {"table1", R"({"n": 3})"},
+      {"end_to_end", R"({"protocol": "pbft", "n": 3})"},
+      {"montecarlo", R"({"protocol": "pbft", "fault": {"n": 3, "p": 0.01}, "trials": 1000})"},
+      {"montecarlo", R"({"protocol": "pbft", "model": {"kind": "beta_binomial", "n": 3, )"
+                     R"("alpha": 1, "beta": 50}, "trials": 1000})"},
+      {"availability", R"({"protocol": "pbft", )" + fleet3 + "}"},
+      {"mission_reliability", R"({"protocol": "pbft", )" + fleet3 + R"(, "mission_hours": 100})"},
+      {"repair_sweep", R"({"protocol": "pbft", )" + fleet3 +
+                           R"(, "min_rate": 0.01, "max_rate": 10, "points": 4})"},
+      // A joint-consensus window whose new membership has 3 nodes.
+      {"availability", R"({"protocol": "pbft", "reconfiguration": true, "fleet": {"classes": )"
+                       R"([{"count": 2, "failure_rate": 1e-3, "new": false}, )"
+                       R"({"count": 3, "failure_rate": 1e-3}], "repair_rate": 0.5}})"},
+  };
+  for (const auto& [kind, params] : requests) {
+    auto response = client.Query(kind, Params(params));
+    ASSERT_TRUE(response.ok()) << kind << " " << params;
+    EXPECT_EQ(response->status.code(), StatusCode::kInvalidArgument) << kind << " " << params;
+  }
+  auto table1 = client.Query("table1", Params(R"({"n": 4})"));
+  ASSERT_TRUE(table1.ok());
+  EXPECT_TRUE(table1->status.ok()) << table1->status.ToString();
+}
+
+// The served end_to_end answer, cold and memoized, carries exactly the bytes the engine
+// writes for the request.
+TEST(QueryServerTest, ServedEndToEndIsByteEqualToTheEngineAnswer) {
+  QueryServer server(ServerOptions{});
+  uint64_t id = 0;
+  for (const char* text :
+       {R"({"protocol": "raft", "n": 5})",
+        R"({"protocol": "raft", "fault": {"probabilities": [0.01, 0.02, 0.05]}, )"
+        R"("window_hours": 1, "mttr_hours": 4, "mission_hours": 1000})",
+        R"({"protocol": "pbft", "n": 7, "fault": {"p": 0.02}})",
+        R"({"protocol": "pbft", "n": 31, "data_loss_given_violation": 0.5})"}) {
+    const Json params = Params(text);
+    Result<ServeRequest> request = ServeRequest::FromParams(RequestKind::kEndToEnd, params);
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    Result<Json> exact = ExecuteRequest(*request, nullptr);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    const std::string expected = "\"result\": " + WriteJson(*exact) + "}";
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const std::string served =
+          server.Handle(RequestEnvelope::Serialize(++id, "end_to_end", params, 0.0));
+      EXPECT_TRUE(served.ends_with(expected)) << served << "\nexpected: " << expected;
+      EXPECT_EQ(served.find("\"cached\": true") != std::string::npos, repeat == 1) << served;
+    }
+  }
 }
 
 TEST(QueryServerTest, DefaultDeadlineFromOptionsApplies) {

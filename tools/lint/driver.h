@@ -26,6 +26,13 @@ std::vector<std::string> CollectFiles(const std::string& root,
 std::vector<SourceFile> ReadTree(const std::string& root, const std::vector<std::string>& dirs,
                                  std::vector<Finding>* io_findings);
 
+// R9 probcon-orphan-header: every header under src/ must be #included by a file of
+// `sources` outside tests/ other than its own .cc. Reports each orphan at its line 1, so
+// `// NOLINT(probcon-orphan-header): reason` on that line exempts it. Findings are
+// unsorted and unsuppressed; LintTree runs it over the default dirs, keeps the findings on
+// linted files, and applies NOLINTs.
+std::vector<Finding> FindOrphanHeaders(const std::vector<SourceFile>& sources);
+
 // Lints every collected file. Returns sorted findings; files that cannot be read produce a
 // probcon-io finding so CI never silently skips anything.
 std::vector<Finding> LintTree(const std::string& root, const std::vector<std::string>& dirs,

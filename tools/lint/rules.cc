@@ -468,6 +468,7 @@ const std::set<std::string>& KnownRules() {
       "probcon-determinism", "probcon-unordered-iter", "probcon-check",
       "probcon-using-namespace", "probcon-ownership", "probcon-kahan", "probcon-nolint",
       "probcon-lock-order", "probcon-blocking-under-lock", "probcon-guarded-field",
+      "probcon-orphan-header",
   };
   return kRules;
 }

@@ -22,11 +22,15 @@
 //                              src/analysis/ lose low-order mass; accumulate via KahanSum.
 //   probcon-nolint              suppression hygiene (reason required, rule must exist).
 //
-// Tree-level concurrency rules (implemented in tools/lint/concurrency.h, driven from
-// LintTree because they reason about every file at once):
+// Tree-level rules (driven from LintTree because they reason about every file at once;
+// R6-R8 are implemented in tools/lint/concurrency.h, R9 in tools/lint/driver.h):
 //   probcon-lock-order          (R6) lock-order graph cycles = potential deadlocks. error.
 //   probcon-blocking-under-lock (R7) blocking operation while holding a lock.
 //   probcon-guarded-field       (R8) PROBCON_GUARDED_BY field touched without its mutex.
+//   probcon-orphan-header       (R9) a header under src/ that no linted file outside
+//                                    tests/ includes, other than its own .cc: a module
+//                                    with no caller. Exempt one with a NOLINT on its
+//                                    line 1.
 
 #ifndef PROBCON_TOOLS_LINT_RULES_H_
 #define PROBCON_TOOLS_LINT_RULES_H_
@@ -64,7 +68,6 @@ struct LintOptions {
       "src/obs/span.h",
       "src/obs/span.cc",
       "bench/serve_load.cc",
-      "bench/lifecycle_perf.cc",
   };
 
   // R5 applies below this directory prefix.

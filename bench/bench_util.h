@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/json.h"
+
 namespace probcon::bench {
 
 // Prints a header box for an experiment.
@@ -62,37 +64,6 @@ class Table {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-// Escapes backslash, double quote, and control characters for a JSON string literal.
-inline std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Collects named tables and scalars from one harness run and renders them as a single
 // JSON document: {"tables": {name: {"header": [...], "rows": [[...]]}}, "values": {...}}.
@@ -156,7 +127,9 @@ class JsonReport {
   }
 
  private:
-  static std::string Quote(const std::string& text) { return "\"" + JsonEscape(text) + "\""; }
+  static std::string Quote(const std::string& text) {
+    return "\"" + JsonEscapeString(text) + "\"";
+  }
 
   std::vector<std::pair<std::string, std::string>> tables_;
   std::vector<std::pair<std::string, std::string>> values_;

@@ -10,7 +10,8 @@ namespace {
 
 void CheckProbabilityVector(const std::vector<double>& probabilities) {
   CHECK(!probabilities.empty());
-  CHECK_LE(probabilities.size(), 64u) << "bitmask configurations support up to 64 nodes";
+  CHECK_LE(probabilities.size(), static_cast<size_t>(kMaxConfigurationNodes))
+      << "bitmask configurations support up to " << kMaxConfigurationNodes << " nodes";
   for (const double p : probabilities) {
     CHECK(p >= 0.0 && p <= 1.0) << "probability out of range:" << p;
   }
@@ -218,7 +219,7 @@ std::unique_ptr<JointFailureModel> FailureDomainModel::Clone() const {
 
 BetaBinomialFailureModel::BetaBinomialFailureModel(int n, double alpha, double beta)
     : n_(n), alpha_(alpha), beta_(beta) {
-  CHECK(n > 0 && n <= 64);
+  CHECK(n > 0 && n <= kMaxConfigurationNodes);
   CHECK_GT(alpha, 0.0);
   CHECK_GT(beta, 0.0);
 }

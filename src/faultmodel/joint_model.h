@@ -8,7 +8,8 @@
 // temperature, power) as failure domains, and cluster-wide environmental drift as an
 // exchangeable beta-binomial prior.
 //
-// Configurations are bitmasks: bit i set means node i failed during the window (N <= 64).
+// Configurations are bitmasks: bit i set means node i failed during the window, so a model
+// covers at most kMaxConfigurationNodes nodes.
 // Models expose exact per-configuration probabilities where tractable, so they compose with
 // the exact enumeration analyzer as well as the Monte Carlo one.
 
@@ -16,6 +17,7 @@
 #define PROBCON_SRC_FAULTMODEL_JOINT_MODEL_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,6 +28,10 @@
 namespace probcon {
 
 using FailureConfiguration = uint64_t;
+
+// The most nodes a joint model can describe: one bit of a FailureConfiguration per node.
+// Every model CHECKs it, and the serve layer admits no larger cluster.
+inline constexpr int kMaxConfigurationNodes = std::numeric_limits<FailureConfiguration>::digits;
 
 inline int CountFailures(FailureConfiguration config) { return __builtin_popcountll(config); }
 inline bool NodeFailed(FailureConfiguration config, int node) {

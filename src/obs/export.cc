@@ -90,39 +90,6 @@ std::string FormatMetricValue(double value) {
   return buffer;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string result;
-  result.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        result += "\\\"";
-        break;
-      case '\\':
-        result += "\\\\";
-        break;
-      case '\n':
-        result += "\\n";
-        break;
-      case '\r':
-        result += "\\r";
-        break;
-      case '\t':
-        result += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          result += buffer;
-        } else {
-          result += c;
-        }
-    }
-  }
-  return result;
-}
-
 void WriteTraceJson(const TraceLog& trace, std::ostream& out) {
   out << "{\"events\": [";
   bool first = true;
@@ -134,7 +101,7 @@ void WriteTraceJson(const TraceLog& trace, std::ostream& out) {
     out << "\n  {\"t\": " << FormatMetricValue(event.time) << ", \"type\": \""
         << TraceEventTypeName(event.type) << "\", \"node\": " << event.node
         << ", \"peer\": " << event.peer << ", \"value\": " << event.value << ", \"detail\": \""
-        << JsonEscape(event.detail) << "\"}";
+        << JsonEscapeString(event.detail) << "\"}";
   }
   out << "\n]}\n";
 }
@@ -164,20 +131,20 @@ void WriteMetricsJson(const MetricsRegistry& metrics, std::ostream& out) {
   out << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, counter] : metrics.counters()) {
-    out << (first ? "" : ", ") << "\"" << JsonEscape(name) << "\": " << counter.value();
+    out << (first ? "" : ", ") << "\"" << JsonEscapeString(name) << "\": " << counter.value();
     first = false;
   }
   out << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : metrics.gauges()) {
-    out << (first ? "" : ", ") << "\"" << JsonEscape(name)
+    out << (first ? "" : ", ") << "\"" << JsonEscapeString(name)
         << "\": " << FormatMetricValue(gauge.value());
     first = false;
   }
   out << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, histogram] : metrics.histograms()) {
-    out << (first ? "" : ", ") << "\"" << JsonEscape(name) << "\": ";
+    out << (first ? "" : ", ") << "\"" << JsonEscapeString(name) << "\": ";
     WriteHistogramJson(histogram, out);
     first = false;
   }

@@ -10,7 +10,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 #include "src/common/json.h"
 #include "src/obs/metrics.h"
@@ -20,9 +19,6 @@ namespace probcon {
 
 // "%.9g" formatting, shared by every exporter (and RunReport) for determinism.
 std::string FormatMetricValue(double value);
-
-// Escapes `\`, `"`, and control characters for embedding in a JSON string literal.
-std::string JsonEscape(std::string_view text);
 
 // {"events": [{"t": ..., "type": "...", "node": ..., "peer": ..., "value": ..., "detail":
 // "..."}, ...]}

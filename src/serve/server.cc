@@ -1,6 +1,8 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "src/common/json.h"
@@ -21,11 +23,13 @@ uint64_t RecoverRequestId(std::string_view payload) {
   return status.ok() ? id : 0;
 }
 
-std::string ErrorResponse(uint64_t id, Status status) {
-  ResponseEnvelope envelope;
-  envelope.id = id;
-  envelope.status = std::move(status);
-  return envelope.Serialize();
+std::string ErrorResponse(uint64_t id, const Status& status) {
+  return ResponseEnvelope::Write(id, status, false, false, "", "");
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 // Entry bound for the request-text memo. When full the memo is cleared wholesale — the
@@ -62,39 +66,6 @@ bool ScanWirePayload(std::string_view payload, WireScan* scan) {
   scan->id_begin = kWireIdPrefix.size();
   scan->id_end = pos;
   return true;
-}
-
-// Splices the response envelope around a cached result text instead of parsing and
-// re-serializing it: the cached value IS WriteJson(result), and WriteJson's compact form
-// is deterministic, so this is byte-identical to ResponseEnvelope::Serialize at a fraction
-// of the cost. (Json::Number(uint64_t) renders via std::to_string, matching the id
-// rendering here.)
-std::string SpliceCachedResponse(uint64_t id, const std::string& cached_text) {
-  std::string out;
-  out.reserve(cached_text.size() + 64);
-  out += "{\"v\": ";
-  out += std::to_string(kProtocolVersion);
-  out += ", \"id\": ";
-  out += std::to_string(id);
-  out += ", \"status\": \"OK\", \"cached\": true, \"result\": ";
-  out += cached_text;
-  out += '}';
-  return out;
-}
-
-// The degraded-lane variant: identical layout plus the `degraded` flag, matching the
-// field order ResponseEnvelope::Serialize emits (v, id, status, cached, degraded, result).
-std::string SpliceDegradedCachedResponse(uint64_t id, const std::string& cached_text) {
-  std::string out;
-  out.reserve(cached_text.size() + 80);
-  out += "{\"v\": ";
-  out += std::to_string(kProtocolVersion);
-  out += ", \"id\": ";
-  out += std::to_string(id);
-  out += ", \"status\": \"OK\", \"cached\": true, \"degraded\": true, \"result\": ";
-  out += cached_text;
-  out += '}';
-  return out;
 }
 
 // The one verb the brownout lane may answer in degraded mode: montecarlo, whose cost is a
@@ -169,178 +140,79 @@ void QueryServer::Submit(std::string payload, std::function<void(std::string)> d
   SpanTimer span;
 
   // Request-text fast path: excise the envelope id digits and probe the text memo. A hit
-  // maps this payload straight to its canonical cache key — no JSON parse, no
-  // canonicalization — and a warm result then answers with a single splice. Shedding and
-  // drain rejects ride the same shortcut, so overload rejects stay cheap too.
+  // maps this payload straight to its canonical cache key and kind — no JSON parse, no
+  // canonicalization — so warm answers and overload rejects alike stay cheap.
   WireScan scan;
   const bool scanned = ScanWirePayload(payload, &scan);
   std::string memo_text;
-  bool admitted = false;
-  bool degraded_admission = false;  // Admitted through the brownout lane, over capacity.
+  std::optional<TextMemoEntry> memo;
   if (scanned) {
     memo_text.reserve(payload.size());
     memo_text.append(payload, 0, scan.id_begin);
     memo_text.append(payload, scan.id_end, std::string::npos);
-    bool memo_hit = false;
-    TextMemoEntry entry;
     {
       std::lock_guard<std::mutex> lock(memo_mutex_);
       const auto it = request_memo_.find(memo_text);
-      if (it != request_memo_.end()) {
-        memo_hit = true;
-        entry = it->second;
-      }
+      if (it != request_memo_.end()) memo = it->second;
     }
-    if (text_memo_hits_ != nullptr) {
-      (memo_hit ? text_memo_hits_ : text_memo_misses_)->Increment();
-    }
-    if (memo_hit) {
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        if (requests_counter_ != nullptr) requests_counter_->Increment();
-        if (draining_) {
-          if (error_counter_ != nullptr) error_counter_->Increment();
-          done(ErrorResponse(scan.id, UnavailableError("server is draining")));
-          return;
-        }
-        if (inflight_ >= options_.max_inflight) {
-          if (!BrownoutShedLocked(entry.kind)) {
-            if (shed_counter_ != nullptr) shed_counter_->Increment();
-            done(ErrorResponse(scan.id,
-                               ResourceExhaustedError(
-                                   "server at capacity (" +
-                                   std::to_string(options_.max_inflight) +
-                                   " requests in flight); retry with backoff")));
-            return;
-          }
-          degraded_admission = true;
-          ++degraded_inflight_;
-          if (degraded_inflight_gauge_ != nullptr) {
-            degraded_inflight_gauge_->Set(degraded_inflight_);
-          }
-        } else {
-          RecordAdmitLocked();
-        }
-        ++inflight_;
-        if (inflight_gauge_ != nullptr) inflight_gauge_->Set(inflight_);
-      }
-      admitted = true;
-      SpanTimer cache_span;
-      std::string cached_text;
-      if (cache_.TryGet(entry.cache_key, &cached_text)) {
-        if (cache_ms_ != nullptr) cache_ms_->Record(cache_span.ElapsedMs());
-        SpanTimer serialize_span;
-        std::string payload_out = degraded_admission
-                                      ? SpliceDegradedCachedResponse(scan.id, cached_text)
-                                      : SpliceCachedResponse(scan.id, cached_text);
-        if (degraded_admission) {
-          if (degraded_counter_ != nullptr) degraded_counter_->Increment();
-          if (degraded_stale_counter_ != nullptr) degraded_stale_counter_->Increment();
-        }
-        if (serialize_ms_ != nullptr) serialize_ms_->Record(serialize_span.ElapsedMs());
-        RecordLatencyMs(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - started)
-                            .count(),
-                        entry.kind);
-        done(std::move(payload_out));
-        FinishOne(degraded_admission);
-        return;
-      }
-      // The memoized result has been evicted from the cache — fall through to the full
-      // parse path, keeping the admission slot already taken.
-    }
+    if (text_memo_hits_ != nullptr) (memo ? text_memo_hits_ : text_memo_misses_)->Increment();
   }
 
-  Result<RequestEnvelope> parsed = RequestEnvelope::Parse(payload);
-  const double parse_ms = span.LapMs();
-  if (parse_ms_ != nullptr) parse_ms_->Record(parse_ms);
-  if (!parsed.ok()) {
-    if (admitted) {
-      FinishOne(degraded_admission);  // Unreachable for memoized texts; keep books.
-    } else if (requests_counter_ != nullptr) {
-      requests_counter_->Increment();
-    }
-    if (error_counter_ != nullptr) error_counter_->Increment();
-    done(ErrorResponse(RecoverRequestId(payload), parsed.status()));
-    return;
-  }
-  RequestEnvelope envelope = *std::move(parsed);
-
-  // Pings answer inline: they are the readiness probe, so they must not queue behind work
-  // and must succeed even while shedding.
-  if (envelope.request.kind == RequestKind::kPing) {
-    if (requests_counter_ != nullptr) requests_counter_->Increment();
-    ResponseEnvelope response;
-    response.id = envelope.id;
-    response.result = Json::Object();
-    response.result.Set("ok", Json::Bool(true));
-    response.result.Set("draining", Json::Bool(draining()));
-    done(response.Serialize());
-    RecordLatencyMs(span.ElapsedMs(), RequestKind::kPing);
-    return;
-  }
-
-  // Stats answer inline too, and before the drain/admission checks on purpose:
-  // introspection is most valuable exactly when the server is overloaded or draining.
-  if (envelope.request.kind == RequestKind::kStats) {
-    if (requests_counter_ != nullptr) requests_counter_->Increment();
-    ResponseEnvelope response;
-    response.id = envelope.id;
-    response.result = StatsResult(envelope.request.stats_reset);
-    if (envelope.trace) {
-      RequestTrace trace;
-      trace.AddStage("parse", parse_ms);
-      trace.AddStage("snapshot", span.LapMs());
-      trace.total_ms = span.ElapsedMs();
-      response.trace = trace.ToJson();
-    }
-    done(response.Serialize());
-    RecordLatencyMs(span.ElapsedMs(), RequestKind::kStats);
-    return;
-  }
-
-  // Health answers inline and pre-admission for the same reason stats does: the breaker
-  // state is most interesting exactly while the server is shedding or draining.
-  if (envelope.request.kind == RequestKind::kHealth) {
-    if (requests_counter_ != nullptr) requests_counter_->Increment();
-    ResponseEnvelope response;
-    response.id = envelope.id;
-    response.result = HealthResult();
-    done(response.Serialize());
-    RecordLatencyMs(span.ElapsedMs(), RequestKind::kHealth);
-    return;
-  }
-
-  if (!admitted) {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (requests_counter_ != nullptr) requests_counter_->Increment();
-    if (draining_) {
+  RequestEnvelope envelope;
+  double parse_ms = 0.0;
+  if (!memo) {
+    Result<RequestEnvelope> parsed = RequestEnvelope::Parse(payload);
+    parse_ms = span.LapMs();
+    if (parse_ms_ != nullptr) parse_ms_->Record(parse_ms);
+    if (!parsed.ok()) {
+      if (requests_counter_ != nullptr) requests_counter_->Increment();
       if (error_counter_ != nullptr) error_counter_->Increment();
-      done(ErrorResponse(envelope.id, UnavailableError("server is draining")));
+      done(ErrorResponse(RecoverRequestId(payload), parsed.status()));
       return;
     }
-    if (inflight_ >= options_.max_inflight) {
-      if (!BrownoutShedLocked(envelope.request.kind)) {
-        // Load shedding: a fast, cheap reject. The client can retry against another
-        // replica or back off; queueing here would only convert overload into latency.
-        if (shed_counter_ != nullptr) shed_counter_->Increment();
-        done(ErrorResponse(envelope.id,
-                           ResourceExhaustedError(
-                               "server at capacity (" +
-                               std::to_string(options_.max_inflight) +
-                               " requests in flight); retry with backoff")));
-        return;
+    envelope = *std::move(parsed);
+
+    // Ping, stats and health answer inline and before admission on purpose: readiness and
+    // introspection matter most exactly while the server is shedding or draining.
+    const RequestKind kind = envelope.request.kind;
+    if (kind == RequestKind::kPing || kind == RequestKind::kStats ||
+        kind == RequestKind::kHealth) {
+      // Counted before the stats snapshot, so a snapshot includes the request taking it.
+      if (requests_counter_ != nullptr) requests_counter_->Increment();
+      Json result = Json::Object();
+      std::string trace_text;
+      if (kind == RequestKind::kPing) {
+        result.Set("ok", Json::Bool(true));
+        result.Set("draining", Json::Bool(draining()));
+      } else if (kind == RequestKind::kHealth) {
+        result = HealthResult();
+      } else {
+        result = StatsResult(envelope.request.stats_reset);
+        if (envelope.trace) {
+          RequestTrace trace;
+          trace.AddStage("parse", parse_ms);
+          trace.AddStage("snapshot", span.LapMs());
+          trace.total_ms = span.ElapsedMs();
+          trace_text = WriteJson(trace.ToJson());
+        }
       }
-      degraded_admission = true;
-      ++degraded_inflight_;
-      if (degraded_inflight_gauge_ != nullptr) {
-        degraded_inflight_gauge_->Set(degraded_inflight_);
-      }
-    } else {
-      RecordAdmitLocked();
+      done(ResponseEnvelope::Write(envelope.id, Status::Ok(), false, false, WriteJson(result),
+                                   trace_text));
+      RecordLatencyMs(span.ElapsedMs(), kind);
+      return;
     }
-    ++inflight_;
-    if (inflight_gauge_ != nullptr) inflight_gauge_->Set(inflight_);
+  }
+
+  Admitted request;
+  request.id = memo ? scan.id : envelope.id;
+  request.kind = memo ? memo->kind : envelope.request.kind;
+  request.trace = envelope.trace;
+  request.started = started;
+  request.parse_ms = parse_ms;
+  request.done = std::move(done);
+  if (Status admitted = Admit(request.kind, &request.degraded); !admitted.ok()) {
+    request.done(ErrorResponse(request.id, admitted));
+    return;
   }
 
   // Warm-path fast serve: canonicalize and probe the cache on the caller's thread (a
@@ -348,65 +220,52 @@ void QueryServer::Submit(std::string payload, std::function<void(std::string)> d
   // in-flight computation, so a hit answers inline with no cross-thread handoff — the
   // common warm case — while misses and single-flight waits take the pool path below.
   SpanTimer key_span;
-  const std::string key = envelope.request.CanonicalKey();
-  const double canonicalize_ms = key_span.LapMs();
-  if (canonicalize_ms_ != nullptr) canonicalize_ms_->Record(canonicalize_ms);
-  if (scanned && !envelope.trace) {
-    // Memoize text -> key so the next identical payload (any id) takes the fast path.
-    // Only engine kinds reach this point — ping and stats answered above — so a memo hit
-    // can never route into those inline branches. Trace requests are excluded: their
-    // responses carry per-request spans and must not be spliced from the cache.
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    if (request_memo_.size() >= kRequestMemoCap) request_memo_.clear();
-    request_memo_.emplace(std::move(memo_text),
-                          TextMemoEntry{key, envelope.request.kind});
+  std::string key;
+  if (memo) {
+    key = std::move(memo->cache_key);
+  } else {
+    key = envelope.request.CanonicalKey();
+    request.canonicalize_ms = key_span.LapMs();
+    if (canonicalize_ms_ != nullptr) canonicalize_ms_->Record(request.canonicalize_ms);
+    if (scanned && !envelope.trace) {
+      // Memoize text -> key so the next identical payload (any id) takes the fast path.
+      // Only admitted engine kinds reach this point, so a memo hit never routes into the
+      // inline verbs. Trace requests are excluded: their answers carry per-request spans.
+      std::lock_guard<std::mutex> lock(memo_mutex_);
+      if (request_memo_.size() >= kRequestMemoCap) request_memo_.clear();
+      request_memo_.emplace(std::move(memo_text), TextMemoEntry{key, request.kind});
+    }
   }
   std::string cached_text;
   if (cache_.TryGet(key, &cached_text)) {
     const double cache_ms = key_span.LapMs();
     if (cache_ms_ != nullptr) cache_ms_->Record(cache_ms);
-    SpanTimer serialize_span;
-    if (degraded_admission) {
+    if (request.degraded) {  // A brownout serves the exact memoized answer, flagged stale.
       if (degraded_counter_ != nullptr) degraded_counter_->Increment();
       if (degraded_stale_counter_ != nullptr) degraded_stale_counter_->Increment();
     }
-    std::string payload_out;
-    if (!envelope.trace) {
-      payload_out = degraded_admission
-                        ? SpliceDegradedCachedResponse(envelope.id, cached_text)
-                        : SpliceCachedResponse(envelope.id, cached_text);
-    } else {
-      ResponseEnvelope response;
-      response.id = envelope.id;
-      response.cached = true;
-      response.degraded = degraded_admission;
-      Result<Json> result = ParseJson(cached_text, "cached result");
-      CHECK(result.ok()) << result.status().ToString();
-      response.result = *std::move(result);
-      RequestTrace trace;
-      trace.AddStage("parse", parse_ms);
-      trace.AddStage("canonicalize", canonicalize_ms);
-      trace.AddStage("cache", cache_ms);
-      trace.total_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - started)
-                           .count();
-      response.trace = trace.ToJson();
-      payload_out = response.Serialize();
-    }
-    if (serialize_ms_ != nullptr) serialize_ms_->Record(serialize_span.ElapsedMs());
-    RecordLatencyMs(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - started)
-            .count(),
-        envelope.request.kind);
-    done(std::move(payload_out));
-    FinishOne(degraded_admission);
+    Answer(request, Status::Ok(), /*cached=*/true, cached_text, cache_ms, /*engine_ms=*/-1.0);
     return;
   }
 
+  if (memo) {
+    // The memoized result has been evicted from the cache: the engine needs the request.
+    Result<RequestEnvelope> parsed = RequestEnvelope::Parse(payload);
+    request.parse_ms = span.LapMs();
+    if (parse_ms_ != nullptr) parse_ms_->Record(request.parse_ms);
+    if (!parsed.ok()) {  // Unreachable: this text parsed before, under another id.
+      if (error_counter_ != nullptr) error_counter_->Increment();
+      request.done(ErrorResponse(request.id, parsed.status()));
+      FinishOne(request.degraded);
+      return;
+    }
+    envelope = *std::move(parsed);
+  }
+
   // A degraded admission with no memo to serve runs the engine in degraded mode: the
-  // request copy is marked so the engine caps its trial count, and RunRequest bypasses
-  // the cache (degraded results must never poison the memo).
-  if (degraded_admission) {
+  // request copy is marked so the engine caps its trial count, and the run bypasses the
+  // cache (degraded results must never poison the memo).
+  if (request.degraded) {
     envelope.request.degraded = true;
     envelope.request.degraded_trials = options_.brownout.degraded_trials;
   }
@@ -424,99 +283,98 @@ void QueryServer::Submit(std::string payload, std::function<void(std::string)> d
   }
 
   ThreadPool::Global().Submit(
-      [this, envelope = std::move(envelope), key, canonicalize_ms, token, deadline_armed,
-       deadline_ms, started, parse_ms, degraded_admission,
-       done = std::move(done)]() mutable {
-        std::string response = RunRequest(envelope, key, canonicalize_ms, token,
-                                          deadline_armed, deadline_ms, started, parse_ms);
-        const auto finished = std::chrono::steady_clock::now();
-        RecordLatencyMs(std::chrono::duration<double, std::milli>(finished - started).count(),
-                        envelope.request.kind);
-        done(std::move(response));
-        FinishOne(degraded_admission);
+      [this, request = std::move(request), envelope = std::move(envelope), key = std::move(key),
+       token, deadline_armed, deadline_ms] {
+        SpanTimer cache_span;
+        bool was_cached = false;
+        double engine_ms = -1.0;  // >= 0 iff this request was the single-flight leader.
+        auto run_engine = [&]() -> Result<std::string> {
+          SpanTimer engine_span;
+          Result<Json> result = ExecuteRequest(envelope.request, token.get(), progress_);
+          engine_ms = engine_span.ElapsedMs();
+          if (engine_ms_ != nullptr) engine_ms_->Record(engine_ms);
+          if (!result.ok()) return result.status();
+          return WriteJson(*result);
+        };
+        // Degraded runs bypass the memo entirely: their capped-trial answers must neither be
+        // stored (they would poison later full-fidelity reads) nor join a single-flight group
+        // (the leader may be computing the full answer under a deadline this request lacks).
+        const Result<std::string> result_text =
+            request.degraded ? run_engine() : cache_.GetOrCompute(key, run_engine, &was_cached);
+        // The cache span covers the whole lookup: a single-flight wait on a follower, or the
+        // nested engine run on the leader.
+        const double cache_ms = cache_span.ElapsedMs();
+        if (cache_ms_ != nullptr) cache_ms_->Record(cache_ms);
+
+        Status status = result_text.status();
+        // The engine reports cooperative cancellation as kCancelled; when the cancel came from
+        // this request's own deadline, the client-facing code is DEADLINE_EXCEEDED.
+        if (status.code() == StatusCode::kCancelled && deadline_armed && token->Cancelled()) {
+          status = DeadlineExceededError("deadline expired after " +
+                                         FormatDouble(envelope.deadline_ms) + " ms: " +
+                                         status.message());
+          if (deadline_counter_ != nullptr) deadline_counter_->Increment();
+          if (cancel_latency_ms_ != nullptr) {
+            // How long past its deadline the request took to actually come back — the
+            // responsiveness of the cooperative-cancellation poll loops.
+            cancel_latency_ms_->Record(std::max(0.0, MsSince(request.started) - deadline_ms));
+          }
+        } else if (!status.ok()) {
+          if (error_counter_ != nullptr) error_counter_->Increment();
+        } else if (request.degraded && degraded_counter_ != nullptr) {
+          degraded_counter_->Increment();
+        }
+        Answer(request, status, was_cached,
+               result_text.ok() ? std::string_view(*result_text) : std::string_view(), cache_ms,
+               engine_ms);
       });
 }
 
-std::string QueryServer::RunRequest(const RequestEnvelope& envelope, const std::string& key,
-                                    double canonicalize_ms,
-                                    const std::shared_ptr<CancelToken>& token,
-                                    bool deadline_armed, double deadline_ms,
-                                    std::chrono::steady_clock::time_point started,
-                                    double parse_ms) {
-  RequestTrace trace;
-  trace.AddStage("parse", parse_ms);
-  trace.AddStage("canonicalize", canonicalize_ms);  // Measured in Submit, alongside the key.
-  SpanTimer span;
-
-  bool was_cached = false;
-  double engine_ms = -1.0;  // >= 0 iff this request was the single-flight leader.
-  auto run_engine = [&]() -> Result<std::string> {
-    SpanTimer engine_span;
-    Result<Json> result = ExecuteRequest(envelope.request, token.get(), progress_);
-    engine_ms = engine_span.ElapsedMs();
-    if (engine_ms_ != nullptr) engine_ms_->Record(engine_ms);
-    if (!result.ok()) return result.status();
-    return WriteJson(*result);
-  };
-  // Degraded runs bypass the memo entirely: their capped-trial answers must neither be
-  // stored (they would poison later full-fidelity reads) nor join a single-flight group
-  // (the leader may be computing the full answer under a deadline this request lacks).
-  Result<std::string> result_text = envelope.request.degraded
-                                        ? run_engine()
-                                        : cache_.GetOrCompute(key, run_engine, &was_cached);
-  // The cache span covers the whole lookup: hit splice, single-flight wait on a follower,
-  // or the nested engine run on the leader.
-  const double cache_ms = span.LapMs();
-  trace.AddStage("cache", cache_ms);
-  if (cache_ms_ != nullptr) cache_ms_->Record(cache_ms);
-  if (engine_ms >= 0.0) trace.AddStage("engine", engine_ms);
-
-  ResponseEnvelope response;
-  response.id = envelope.id;
-  if (result_text.ok()) {
-    response.cached = was_cached;
-    response.degraded = envelope.request.degraded;
-    if (envelope.request.degraded && degraded_counter_ != nullptr) {
-      degraded_counter_->Increment();
-    }
-    Result<Json> result = ParseJson(*result_text, "cached result");
-    CHECK(result.ok()) << result.status().ToString();
-    response.result = *std::move(result);
-    if (envelope.trace) {
-      trace.total_ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                    started)
-              .count();
-      response.trace = trace.ToJson();
-    }
-  } else {
-    Status status = result_text.status();
-    // The engine reports cooperative cancellation as kCancelled; when the cancel came from
-    // this request's own deadline, the client-facing code is DEADLINE_EXCEEDED.
-    if (status.code() == StatusCode::kCancelled && deadline_armed && token->Cancelled()) {
-      status = DeadlineExceededError("deadline expired after " +
-                                     FormatDouble(envelope.deadline_ms) + " ms: " +
-                                     status.message());
-      if (deadline_counter_ != nullptr) deadline_counter_->Increment();
-      if (cancel_latency_ms_ != nullptr) {
-        // How long past its deadline the request took to actually come back — the
-        // responsiveness of the cooperative-cancellation poll loops.
-        const double elapsed_ms =
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                      started)
-                .count();
-        cancel_latency_ms_->Record(std::max(0.0, elapsed_ms - deadline_ms));
-      }
-    } else {
-      if (error_counter_ != nullptr) error_counter_->Increment();
-    }
-    response.status = std::move(status);
+void QueryServer::Answer(const Admitted& request, const Status& status, bool cached,
+                         std::string_view result_text, double cache_ms, double engine_ms) {
+  SpanTimer serialize_span;
+  std::string trace_text;
+  if (request.trace && status.ok()) {
+    RequestTrace trace;
+    trace.AddStage("parse", request.parse_ms);
+    trace.AddStage("canonicalize", request.canonicalize_ms);
+    trace.AddStage("cache", cache_ms);
+    if (engine_ms >= 0.0) trace.AddStage("engine", engine_ms);
+    trace.total_ms = MsSince(request.started);
+    trace_text = WriteJson(trace.ToJson());
   }
+  std::string response = ResponseEnvelope::Write(request.id, status, cached, request.degraded,
+                                                 result_text, trace_text);
+  if (serialize_ms_ != nullptr) serialize_ms_->Record(serialize_span.ElapsedMs());
+  RecordLatencyMs(MsSince(request.started), request.kind);
+  request.done(std::move(response));
+  FinishOne(request.degraded);
+}
 
-  span.Restart();
-  std::string payload = response.Serialize();
-  if (serialize_ms_ != nullptr) serialize_ms_->Record(span.ElapsedMs());
-  return payload;
+Status QueryServer::Admit(RequestKind kind, bool* degraded) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  if (requests_counter_ != nullptr) requests_counter_->Increment();
+  if (draining_) {
+    if (error_counter_ != nullptr) error_counter_->Increment();
+    return UnavailableError("server is draining");
+  }
+  if (inflight_ < options_.max_inflight) {
+    RecordAdmitLocked();
+  } else if (BrownoutShedLocked(kind)) {
+    *degraded = true;
+    ++degraded_inflight_;
+    if (degraded_inflight_gauge_ != nullptr) degraded_inflight_gauge_->Set(degraded_inflight_);
+  } else {
+    // Load shedding: a fast, cheap reject. The client can retry against another replica
+    // or back off; queueing here would only convert overload into latency.
+    if (shed_counter_ != nullptr) shed_counter_->Increment();
+    return ResourceExhaustedError("server at capacity (" +
+                                  std::to_string(options_.max_inflight) +
+                                  " requests in flight); retry with backoff");
+  }
+  ++inflight_;
+  if (inflight_gauge_ != nullptr) inflight_gauge_->Set(inflight_);
+  return Status::Ok();
 }
 
 Json QueryServer::StatsResult(bool reset) {

@@ -2,19 +2,26 @@
 // the execution engine. Transport-agnostic — the TCP listener (transport.h), the loopback
 // channel (client.h), and the tests all speak to the same QueryServer.
 //
-// Request lifecycle:
+// Request lifecycle, one path through Submit:
 //
 //   Submit(payload)
-//     -> request-text memo probe            (a payload seen before — any id — maps straight
-//                                            to its cache key, skipping parse/canonicalize)
-//     -> parse + validate envelope          (errors answer inline: INVALID_ARGUMENT)
-//     -> ping / stats answer inline         (introspection must work under overload)
-//     -> drain check                        (UNAVAILABLE while draining)
-//     -> admission control                  (RESOURCE_EXHAUSTED above max_inflight —
-//                                            load shedding is a fast reject, never a queue)
-//     -> cache.GetOrCompute(canonical key)  (hit: answer without touching the engines;
-//                                            concurrent identical misses single-flight)
-//     -> ExecuteRequest on the exec pool, with a CancelToken the deadline watchdog fires
+//     -> request-text memo probe            (a payload seen before, under any id, maps
+//                                            straight to its cache key and kind: no parse,
+//                                            no canonicalization)
+//     -> parse + validate envelope          (errors answer inline: INVALID_ARGUMENT;
+//                                            ping / stats / health answer inline too, before
+//                                            admission: introspection must work under overload)
+//     -> Admit(kind)                        (UNAVAILABLE while draining; RESOURCE_EXHAUSTED
+//                                            above max_inflight — load shedding is a fast
+//                                            reject, never a queue — unless the brownout
+//                                            lane takes a degradable kind)
+//     -> canonicalize + memoize the text    (admitted requests only)
+//     -> cache.TryGet(canonical key)        (hit: answered on the caller's thread)
+//     -> exec pool: cache.GetOrCompute      (concurrent identical misses single-flight) ->
+//        ExecuteRequest, with a CancelToken the deadline watchdog fires
+//
+// One function writes every response, ResponseEnvelope::Write: an OK answer splices the
+// cached or engine result text into the envelope as it is, never parsing it back.
 //
 // Observability: every stage of that lifecycle is timed with SpanTimer (src/obs/span.h)
 // and recorded
@@ -45,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -136,17 +144,29 @@ class QueryServer {
                    std::shared_ptr<CancelToken> token);
   void WatchdogLoop();
 
-  // Runs the already-parsed request (cache + engine) and builds the response payload.
-  // `key` is the canonical key computed in Submit (where the warm-hit probe needed it) and
-  // `canonicalize_ms` its span; `deadline_ms` is the effective deadline (request or server
-  // default), `started` the Submit entry time (total-latency anchor), `parse_ms` the
-  // envelope-parse span measured in Submit — these feed the trace echo and the
-  // cancellation-latency histogram.
-  std::string RunRequest(const RequestEnvelope& envelope, const std::string& key,
-                         double canonicalize_ms,
-                         const std::shared_ptr<CancelToken>& token, bool deadline_armed,
-                         double deadline_ms, std::chrono::steady_clock::time_point started,
-                         double parse_ms);
+  // An admitted engine request, carried from Submit to its answer: inline on a cache hit,
+  // on the exec pool otherwise.
+  struct Admitted {
+    uint64_t id = 0;
+    RequestKind kind = RequestKind::kPing;
+    bool trace = false;
+    bool degraded = false;  // Admitted through the brownout lane, over capacity.
+    std::chrono::steady_clock::time_point started;  // Submit entry: the latency anchor.
+    double parse_ms = 0.0;
+    double canonicalize_ms = 0.0;
+    std::function<void(std::string response)> done;
+  };
+
+  // Counts the request, then admits it or returns the reject to answer: UNAVAILABLE while
+  // draining, RESOURCE_EXHAUSTED over capacity unless the brownout lane takes it (then
+  // `*degraded` is set). Takes state_mutex_; the caller answers outside it.
+  Status Admit(RequestKind kind, bool* degraded);
+
+  // Writes the envelope around `result_text` (with the span breakdown when the request
+  // asked for one), records the serialize stage and the latency, answers, and frees the
+  // request's slot. `engine_ms` is negative unless this request ran the engine.
+  void Answer(const Admitted& request, const Status& status, bool cached,
+              std::string_view result_text, double cache_ms, double engine_ms);
 
   // The `stats` verb: a consistent snapshot of the live registry plus exec-pool telemetry,
   // rendered via obs::MetricsToJsonValue. `reset` zeroes counters/histograms afterwards.

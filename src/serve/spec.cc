@@ -7,6 +7,7 @@
 
 #include "src/analysis/protocol_spec.h"
 #include "src/faultmodel/fault_curve.h"
+#include "src/faultmodel/joint_model.h"
 #include "src/faultmodel/round_schedule.h"
 #include "src/lifecycle/fleet_model.h"
 #include "src/lifecycle/repair_sweep.h"
@@ -25,8 +26,8 @@ constexpr std::string_view kKindNames[kRequestKindCount] = {
 // Caps that keep a single request's cost bounded. The engine CHECKs sit deeper (exact
 // enumeration n <= 25, placement n <= 10 / r <= 5); these edge limits are at or below
 // every engine precondition so malformed input degrades to INVALID_ARGUMENT, never a
-// crash.
-constexpr int kMaxClusterNodes = 200;       // count-DP paths are O(n^2); 200 is instant.
+// crash. Clusters are capped at kMaxConfigurationNodes (joint_model.h), the width of the
+// failure bitmask every joint model CHECKs.
 constexpr int kMaxPlacementNodes = 10;      // OptimizeRackPlacement precondition.
 constexpr int kMaxPlacementRacks = 5;       // OptimizeRackPlacement precondition.
 constexpr uint64_t kMaxTrials = 1u << 30;   // ~1e9 Monte Carlo trials per request.
@@ -141,6 +142,14 @@ Result<std::unique_ptr<FaultCurve>> CurveFromJson(const Json& curve) {
   }
   return InvalidArgumentError(std::string(kWhat) + ": unknown curve kind \"" + curve_kind +
                               "\" (want constant, weibull, gompertz, or bathtub)");
+}
+
+// Rejects a cluster larger than any joint model describes, before anything is sized by it.
+Status CheckMaxNodes(int n) {
+  if (n <= kMaxConfigurationNodes) return Status::Ok();
+  return InvalidArgumentError(std::string(kWhat) + ": fault spec resolves to " +
+                              std::to_string(n) + " nodes, above the limit of " +
+                              std::to_string(kMaxConfigurationNodes));
 }
 
 // The smallest cluster a request's protocol admits: kPbftMinNodes for PBFT, 3 for Raft.
@@ -317,10 +326,11 @@ Status ParseSchedule(const Json& schedule, int min_n, ServeRequest* request) {
     RETURN_IF_ERROR(JsonReadInt(schedule, "n", &n, kWhat));
     RETURN_IF_ERROR(JsonReadInt(schedule, "rounds", &rounds, kWhat));
     RETURN_IF_ERROR(JsonReadDouble(schedule, "age", &age, kWhat));
-    if (n < 1 || n > kMaxClusterNodes || rounds < 1 || rounds > kMaxScheduleRounds) {
+    if (n < 1 || n > kMaxConfigurationNodes || rounds < 1 || rounds > kMaxScheduleRounds) {
       return InvalidArgumentError(std::string(kWhat) +
                                   ": curve schedule requires 1 <= n <= " +
-                                  std::to_string(kMaxClusterNodes) + " and 1 <= rounds <= " +
+                                  std::to_string(kMaxConfigurationNodes) +
+                                  " and 1 <= rounds <= " +
                                   std::to_string(kMaxScheduleRounds));
     }
     if (!(age >= 0.0) || !std::isfinite(age)) {
@@ -343,10 +353,10 @@ Status ParseSchedule(const Json& schedule, int min_n, ServeRequest* request) {
     return InvalidArgumentError(std::string(kWhat) + ": " + valid.message());
   }
   const int n = static_cast<int>(request->schedule_probabilities.front().size());
-  if (n > kMaxClusterNodes || n < min_n) {
+  if (n > kMaxConfigurationNodes || n < min_n) {
     return InvalidArgumentError(std::string(kWhat) + ": schedule requires " +
                                 std::to_string(min_n) + " <= n <= " +
-                                std::to_string(kMaxClusterNodes));
+                                std::to_string(kMaxConfigurationNodes));
   }
   return Status::Ok();
 }
@@ -392,13 +402,13 @@ FaultSpec FaultSpec::Uniform(int n, double p) {
   return spec;
 }
 
-Result<FaultSpec> FaultSpec::FromJson(const Json* json, int default_n, double default_p,
-                                      int max_n) {
+Result<FaultSpec> FaultSpec::FromJson(const Json* json, int default_n, double default_p) {
   if (json == nullptr) {
     if (default_n <= 0) {
       return InvalidArgumentError(std::string(kWhat) +
                                   ": a \"fault\" object (or \"n\") is required");
     }
+    RETURN_IF_ERROR(CheckMaxNodes(default_n));
     return Uniform(default_n, default_p);
   }
   if (!json->IsObject()) {
@@ -431,6 +441,7 @@ Result<FaultSpec> FaultSpec::FromJson(const Json* json, int default_n, double de
         return InvalidArgumentError(std::string(kWhat) +
                                     ": curve-based fault spec requires \"n\" or \"ages\"");
       }
+      RETURN_IF_ERROR(CheckMaxNodes(n));
       ages.assign(static_cast<size_t>(n), age);
     }
     for (double age : ages) {
@@ -447,6 +458,7 @@ Result<FaultSpec> FaultSpec::FromJson(const Json* json, int default_n, double de
     if (n <= 0) {
       return InvalidArgumentError(std::string(kWhat) + ": uniform fault spec requires n > 0");
     }
+    RETURN_IF_ERROR(CheckMaxNodes(n));
     if (!(p >= 0.0 && p <= 1.0)) {
       return InvalidArgumentError(std::string(kWhat) +
                                   ": uniform fault spec requires p in [0, 1]");
@@ -457,11 +469,7 @@ Result<FaultSpec> FaultSpec::FromJson(const Json* json, int default_n, double de
   if (spec.probabilities.empty()) {
     return InvalidArgumentError(std::string(kWhat) + ": fault spec resolves to zero nodes");
   }
-  if (spec.n() > max_n) {
-    return InvalidArgumentError(std::string(kWhat) + ": fault spec resolves to " +
-                                std::to_string(spec.n()) + " nodes, above the limit of " +
-                                std::to_string(max_n));
-  }
+  RETURN_IF_ERROR(CheckMaxNodes(spec.n()));
   return spec;
 }
 
@@ -493,8 +501,7 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
       // Accept a top-level {"n": ..} shorthand matching the paper tables (uniform p=1%).
       int n = 0;
       RETURN_IF_ERROR(JsonReadInt(params, "n", &n, kWhat));
-      Result<FaultSpec> fault =
-          FaultSpec::FromJson(fault_json, n, /*default_p=*/0.01, kMaxClusterNodes);
+      Result<FaultSpec> fault = FaultSpec::FromJson(fault_json, n, /*default_p=*/0.01);
       if (!fault.ok()) return fault.status();
       request.fault = *std::move(fault);
       if (n > 0 && request.fault.n() != n) {
@@ -516,13 +523,10 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
       if (!protocol.ok()) return protocol.status();
       request.protocol = *std::move(protocol);
       Result<FaultSpec> fault =
-          FaultSpec::FromJson(fault_json, /*default_n=*/0, /*default_p=*/0.01,
-                              /*max_n=*/100);  // sizer searches O(n^2) configs
+          FaultSpec::FromJson(fault_json, /*default_n=*/0, /*default_p=*/0.01);
       if (!fault.ok()) return fault.status();
       request.fault = *std::move(fault);
-      if (request.fault.n() < 3) {
-        return InvalidArgumentError(std::string(kWhat) + ": quorum sizing requires n >= 3");
-      }
+      RETURN_IF_ERROR(CheckMinNodes("quorum_size", request.protocol, request.fault.n()));
       request.target_live = 0.999;
       request.target_safe = 0.9999;
       RETURN_IF_ERROR(JsonReadDouble(params, "target_live", &request.target_live, kWhat));
@@ -562,8 +566,7 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
       request.protocol = *std::move(protocol);
       int n = 0;
       RETURN_IF_ERROR(JsonReadInt(params, "n", &n, kWhat));
-      Result<FaultSpec> fault =
-          FaultSpec::FromJson(fault_json, n, /*default_p=*/0.01, kMaxClusterNodes);
+      Result<FaultSpec> fault = FaultSpec::FromJson(fault_json, n, /*default_p=*/0.01);
       if (!fault.ok()) return fault.status();
       request.fault = *std::move(fault);
       RETURN_IF_ERROR(CheckMinNodes("end_to_end", request.protocol, request.fault.n()));
@@ -603,8 +606,7 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
       }
       if (model_kind == "independent") {
         Result<FaultSpec> fault =
-            FaultSpec::FromJson(fault_json, /*default_n=*/0, /*default_p=*/0.01,
-                                kMaxClusterNodes);
+            FaultSpec::FromJson(fault_json, /*default_n=*/0, /*default_p=*/0.01);
         if (!fault.ok()) return fault.status();
         request.fault = *std::move(fault);
         RETURN_IF_ERROR(CheckMinNodes("montecarlo", request.protocol, request.fault.n()));
@@ -615,10 +617,10 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
         RETURN_IF_ERROR(JsonReadDouble(*model, "beta", &request.beta, kWhat));
         RETURN_IF_ERROR(
             CheckMinNodes("beta_binomial model", request.protocol, request.beta_n));
-        if (request.beta_n > kMaxClusterNodes) {
+        if (request.beta_n > kMaxConfigurationNodes) {
           return InvalidArgumentError(std::string(kWhat) +
                                       ": beta_binomial model requires n <= " +
-                                      std::to_string(kMaxClusterNodes));
+                                      std::to_string(kMaxConfigurationNodes));
         }
         if (!(request.alpha > 0.0) || !(request.beta > 0.0)) {
           return InvalidArgumentError(std::string(kWhat) +
@@ -947,26 +949,41 @@ Result<ResponseEnvelope> ResponseEnvelope::Parse(std::string_view payload) {
   return envelope;
 }
 
-std::string ResponseEnvelope::Serialize() const {
-  Json root = Json::Object();
-  root.Set("v", Json::Number(kProtocolVersion));
-  root.Set("id", Json::Number(id));
-  root.Set("status", Json::String(std::string(StatusCodeName(status.code()))));
-  if (status.ok()) {
-    root.Set("cached", Json::Bool(cached));
-    if (degraded) {
-      // Only present on degraded answers: normal responses stay byte-identical to builds
-      // without brownout support.
-      root.Set("degraded", Json::Bool(true));
-    }
-    root.Set("result", result);
-    if (trace.type != Json::Type::kNull) {
-      root.Set("trace", trace);
-    }
-  } else {
-    root.Set("error", Json::String(status.message()));
+std::string ResponseEnvelope::Write(uint64_t id, const Status& status, bool cached,
+                                    bool degraded, std::string_view result_text,
+                                    std::string_view trace_text) {
+  // The field order and spacing are WriteJson's compact form of the same object.
+  std::string out;
+  out.reserve(result_text.size() + trace_text.size() + 96);
+  out += "{\"v\": ";
+  out += std::to_string(kProtocolVersion);
+  out += ", \"id\": ";
+  out += std::to_string(id);
+  out += ", \"status\": \"";
+  out += StatusCodeName(status.code());
+  if (!status.ok()) {
+    out += "\", \"error\": \"";
+    out += JsonEscapeString(status.message());
+    out += "\"}";
+    return out;
   }
-  return WriteJson(root);
+  out += cached ? "\", \"cached\": true" : "\", \"cached\": false";
+  // Only degraded answers carry the flag, so normal ones keep the layout they had before
+  // brownout existed.
+  if (degraded) out += ", \"degraded\": true";
+  out += ", \"result\": ";
+  out += result_text;
+  if (!trace_text.empty()) {
+    out += ", \"trace\": ";
+    out += trace_text;
+  }
+  out += '}';
+  return out;
+}
+
+std::string ResponseEnvelope::Serialize() const {
+  return Write(id, status, cached, degraded, status.ok() ? WriteJson(result) : "",
+               trace.type != Json::Type::kNull ? WriteJson(trace) : "");
 }
 
 }  // namespace probcon::serve

@@ -80,9 +80,9 @@ struct FaultSpec {
   static FaultSpec Uniform(int n, double p);
 
   // Parses from `field` (an object). `json == nullptr` resolves to Uniform(default_n,
-  // default_p) when default_n > 0, or an error naming the missing field otherwise.
-  static Result<FaultSpec> FromJson(const Json* json, int default_n, double default_p,
-                                    int max_n);
+  // default_p) when default_n > 0, or an error naming the missing field otherwise. More
+  // than kMaxConfigurationNodes nodes is an error.
+  static Result<FaultSpec> FromJson(const Json* json, int default_n, double default_p);
 
   // {"probabilities": [...]} with shortest-round-trip numbers — the canonical form.
   Json ToCanonicalJson() const;
@@ -183,6 +183,13 @@ struct RequestEnvelope {
 // "trace": {...}} on success ("trace" only when the request asked for it);
 // {"v": 1, "id": ..., "status": "<CODE>", "error": "..."} otherwise.
 struct ResponseEnvelope {
+  // The one writer of the response layout. `result_text` and `trace_text` are compact JSON
+  // documents, spliced in as they are: the server passes the cached or engine text, so an
+  // answer is never parsed back. An empty `trace_text` omits "trace"; an error status
+  // writes only its escaped message and ignores the other arguments.
+  static std::string Write(uint64_t id, const Status& status, bool cached, bool degraded,
+                           std::string_view result_text, std::string_view trace_text);
+
   uint64_t id = 0;
   Status status;
   bool cached = false;

@@ -1,5 +1,5 @@
 // The shared JSON model: parse/serialize round-trips, insertion-order determinism, raw
-// number-token preservation, and the typed field readers.
+// number-token preservation, the string escaper, and the typed field readers.
 
 #include "src/common/json.h"
 
@@ -88,6 +88,14 @@ TEST(Json, StringEscapesRoundTrip) {
   auto reparsed = ParseJson(written);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(reparsed->Find("text")->text, "line\nquote\"back\\slash\ttab");
+}
+
+TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
+  EXPECT_EQ(JsonEscapeString("plain"), "plain");
+  EXPECT_EQ(JsonEscapeString("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscapeString("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscapeString("a\nb"), "a\\nb");
+  EXPECT_EQ(JsonEscapeString(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 TEST(Json, RejectsMalformedDocuments) {

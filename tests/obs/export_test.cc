@@ -23,14 +23,6 @@ TEST(FormatMetricValueTest, IntegersRenderWithoutTrailingZeros) {
   EXPECT_EQ(FormatMetricValue(-3.0), "-3");
 }
 
-TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(JsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
 TEST(TraceJsonTest, EmitsAllEventsWithTypedFields) {
   const std::string json = TraceToJson(MakeTrace());
   EXPECT_NE(json.find("\"events\""), std::string::npos);

@@ -8,14 +8,14 @@
 
 #include <gtest/gtest.h>
 
-#include <condition_variable>
+#include <latch>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "src/common/json.h"
+#include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/spec.h"
@@ -152,6 +152,9 @@ TEST(BrownoutTest, DegradedAnswersAreBitDeterministicPerSeed) {
 }
 
 TEST(BrownoutTest, StaleMemoEntriesServeFlaggedDuringBrownout) {
+  // One pool worker, which the test parks to hold the only admission slot for exactly as
+  // long as it needs: no race with an engine run decides when the slot frees.
+  ScopedThreadPool pool(1);
   ServerOptions options;
   options.max_inflight = 1;
   options.brownout.trip_sheds = 1;
@@ -159,56 +162,55 @@ TEST(BrownoutTest, StaleMemoEntriesServeFlaggedDuringBrownout) {
   MetricsRegistry metrics;
   QueryServer server(options, &metrics);
   ServeClient client(std::make_unique<LoopbackChannel>(server));
+  // A request answers just before it frees its slot; wait for the books.
+  const auto wait_idle = [&server] {
+    while (server.inflight() != 0) std::this_thread::yield();
+  };
 
   // Prime the memo with a healthy, exact answer.
   auto primed = client.Query("montecarlo", Params(kBigMonteCarlo));
   ASSERT_TRUE(primed.ok());
   ASSERT_TRUE(primed->status.ok()) << primed->status.ToString();
   EXPECT_FALSE(primed->degraded);
+  wait_idle();
 
-  // Occupy the only inflight slot with a slow request, then trip the breaker with a shed.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool slow_done = false;
-  server.Submit(
-      RequestEnvelope::Serialize(
-          99, "montecarlo",
-          Params(R"({"protocol": "pbft", "fault": {"n": 4, "p": 0.02}, )"
-                 R"("trials": 4194304, "seed": 3})"),
-          0.0, false),
-      [&](std::string) {
-        std::lock_guard<std::mutex> lock(mutex);
-        slow_done = true;
-        cv.notify_all();
-      });
-  ASSERT_EQ(server.inflight(), 1);
+  // Park the worker, occupy the only slot with a request queued behind it, then trip the
+  // breaker with a shed. The worker is released on every exit path of the lambda, so a
+  // failed assertion cannot leave it parked.
+  std::latch parked(1);
+  std::latch release(1);
+  pool.pool().Submit([&] {
+    parked.count_down();
+    release.wait();
+  });
+  parked.wait();
+  [&] {
+    server.Submit(RequestEnvelope::Serialize(99, "table1", Params(R"({"n": 5})"), 0.0),
+                  [](std::string) {});
+    ASSERT_EQ(server.inflight(), 1);
 
-  auto tripping = client.Query("table1", Params(R"({"n": 4})"));
-  ASSERT_TRUE(tripping.ok());
-  EXPECT_EQ(tripping->status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(HealthState(client), "degraded");
+    auto tripping = client.Query("table1", Params(R"({"n": 4})"));
+    ASSERT_TRUE(tripping.ok());
+    EXPECT_EQ(tripping->status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(HealthState(client), "degraded");
 
-  // The primed entry now serves through the degraded lane: stale-but-flagged, with the
-  // result bytes of the exact answer.
-  auto stale = client.Query("montecarlo", Params(kBigMonteCarlo));
-  ASSERT_TRUE(stale.ok());
-  ASSERT_TRUE(stale->status.ok()) << stale->status.ToString();
-  EXPECT_TRUE(stale->degraded);
-  EXPECT_TRUE(stale->cached);
-  EXPECT_EQ(WriteJson(stale->result), WriteJson(primed->result));
-  EXPECT_EQ(metrics.GetCounter("serve.degraded.stale").value(), 1u);
-  EXPECT_GE(metrics.GetCounter("serve.degraded").value(), 1u);
+    // The primed entry now serves through the degraded lane: stale-but-flagged, with the
+    // result bytes of the exact answer.
+    auto stale = client.Query("montecarlo", Params(kBigMonteCarlo));
+    ASSERT_TRUE(stale.ok());
+    ASSERT_TRUE(stale->status.ok()) << stale->status.ToString();
+    EXPECT_TRUE(stale->degraded);
+    EXPECT_TRUE(stale->cached);
+    EXPECT_EQ(WriteJson(stale->result), WriteJson(primed->result));
+    EXPECT_EQ(metrics.GetCounter("serve.degraded.stale").value(), 1u);
+    EXPECT_GE(metrics.GetCounter("serve.degraded").value(), 1u);
+  }();
+  release.count_down();
+  wait_idle();
+  if (HasFatalFailure()) return;
 
-  // Let the slow request finish, then recover: consecutive normal admits close the
-  // breaker and health returns to ready.
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return slow_done; });
-  }
-  // The done callback fires just before the in-flight count drops; wait for the books.
-  while (server.inflight() != 0) {
-    std::this_thread::yield();
-  }
+  // The held request has answered; consecutive normal admits now close the breaker and
+  // health returns to ready.
   for (int i = 0; i < options.brownout.recover_admits; ++i) {
     auto normal = client.Query("table1", Params(R"({"n": 4})"));
     ASSERT_TRUE(normal.ok());

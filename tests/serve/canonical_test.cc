@@ -170,6 +170,9 @@ TEST(Validation, ResponseEnvelopeRoundTrips) {
   response.result = Json::Object();
   response.result.Set("answer", Json::Number(42));
 
+  // The struct form writes exactly what the server's writer does.
+  EXPECT_EQ(response.Serialize(),
+            ResponseEnvelope::Write(11, Status(), true, false, R"({"answer": 42})", ""));
   const auto parsed = ResponseEnvelope::Parse(response.Serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->id, 11u);

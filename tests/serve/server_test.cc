@@ -1,6 +1,7 @@
 // QueryServer behavior through the loopback transport: memoized answers with the cached
 // flag, load shedding at the admission limit, drain semantics, deadline enforcement, the
-// inline ping path, and the served end_to_end answer.
+// inline ping path, the served end_to_end answer, and the exact bytes of every response
+// shape.
 
 #include "src/serve/server.h"
 
@@ -8,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "src/common/json.h"
@@ -170,15 +172,30 @@ TEST(QueryServerTest, DeeplyNestedPayloadAnswersInvalidArgumentNotCrash) {
   EXPECT_TRUE(after->status.ok());
 }
 
-// PBFT's standard quorums need n >= 4: every PBFT case below must stop at the edge with
-// INVALID_ARGUMENT, since reaching PbftConfig::Standard's CHECK would abort the daemon.
+// Each case below must stop at the edge with INVALID_ARGUMENT: PBFT's standard quorums need
+// n >= 4, and a joint model describes at most kMaxConfigurationNodes = 64 nodes. Past the
+// edge, each would reach a CHECK (PbftConfig::Standard's or a joint model's) and abort the
+// daemon, or (PBFT quorum_size) search for quorums that cannot exist.
 TEST(QueryServerTest, ValidationErrorsSurfaceAsInvalidArgument) {
   QueryServer server(ServerOptions{});
   ServeClient client(std::make_unique<LoopbackChannel>(server));
   const std::string fleet3 = R"("fleet": {"classes": [{"count": 3, "failure_rate": 1e-3}], )"
                              R"("repair_rate": 0.5})";
+  std::string row65 = "[0.01";
+  for (int i = 1; i < 65; ++i) row65 += ", 0.01";
+  row65 += "]";
   const std::pair<std::string, std::string> requests[] = {
       {"table1", R"({"n": 3})"},
+      {"quorum_size", R"({"protocol": "pbft", "fault": {"n": 3, "p": 0.01}})"},
+      {"table1", R"({"n": 65})"},
+      {"table2", R"({"n": 65})"},
+      {"quorum_size", R"({"protocol": "raft", "fault": {"n": 65, "p": 0.01}})"},
+      {"end_to_end", R"({"protocol": "raft", "n": 65})"},
+      {"montecarlo", R"({"protocol": "raft", "fault": {"n": 65, "p": 0.01}, "trials": 1000})"},
+      {"montecarlo", R"({"protocol": "raft", "model": {"kind": "beta_binomial", "n": 65, )"
+                     R"("alpha": 1, "beta": 50}, "trials": 1000})"},
+      {"mission_reliability", R"({"protocol": "raft", "schedule": {"round_hours": 1, )"
+                              R"("round_probabilities": [)" + row65 + "]}}"},
       {"end_to_end", R"({"protocol": "pbft", "n": 3})"},
       {"montecarlo", R"({"protocol": "pbft", "fault": {"n": 3, "p": 0.01}, "trials": 1000})"},
       {"montecarlo", R"({"protocol": "pbft", "model": {"kind": "beta_binomial", "n": 3, )"
@@ -226,6 +243,92 @@ TEST(QueryServerTest, ServedEndToEndIsByteEqualToTheEngineAnswer) {
       EXPECT_EQ(served.find("\"cached\": true") != std::string::npos, repeat == 1) << served;
     }
   }
+}
+
+// Every response shape the server writes, byte for byte: the result text of the engine (or
+// of the cache) inside the fixed envelope layout.
+TEST(QueryServerTest, EveryResponseShapeHasExactBytes) {
+  const auto engine_text = [](RequestKind kind, const Json& params, uint64_t degraded_trials) {
+    Result<ServeRequest> request = ServeRequest::FromParams(kind, params);
+    EXPECT_TRUE(request.ok()) << request.status().ToString();
+    request->degraded = degraded_trials > 0;
+    request->degraded_trials = degraded_trials;
+    Result<Json> result = ExecuteRequest(*request, nullptr);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return WriteJson(*result);
+  };
+  const auto envelope = [](uint64_t id, const std::string& flags, const std::string& result,
+                           const std::string& trace = "") {
+    return R"({"v": 1, "id": )" + std::to_string(id) + R"(, "status": "OK", )" + flags +
+           R"(, "result": )" + result + trace + "}";
+  };
+
+  QueryServer server(ServerOptions{});
+  EXPECT_EQ(server.Handle(R"({"v": 1, "id": 1, "kind": "ping", "params": {}})"),
+            R"({"v": 1, "id": 1, "status": "OK", "cached": false, )"
+            R"("result": {"ok": true, "draining": false}})");
+
+  const Json table1 = Params(R"({"n": 4})");
+  const std::string table1_text = engine_text(RequestKind::kTable1, table1, 0);
+  EXPECT_EQ(server.Handle(RequestEnvelope::Serialize(2, "table1", table1, 0.0)),
+            envelope(2, R"("cached": false)", table1_text));
+  // The repeat takes the text-memo path, a respelling the parse path; both answer cached.
+  EXPECT_EQ(server.Handle(RequestEnvelope::Serialize(3, "table1", table1, 0.0)),
+            envelope(3, R"("cached": true)", table1_text));
+  EXPECT_EQ(server.Handle(RequestEnvelope::Serialize(4, "table1", Params(R"({"fault": {"n": 4}})"),
+                                                     0.0)),
+            envelope(4, R"("cached": true)", table1_text));
+
+  // Traced answers, a hit and a miss, carry their span breakdown after the result; only
+  // its durations are not known in advance.
+  const Json table2 = Params(R"({"n": 5})");
+  const std::string table2_text = engine_text(RequestKind::kTable2, table2, 0);
+  for (const auto& [id, params, text, cached] :
+       {std::tuple<uint64_t, Json, std::string, bool>{5, table1, table1_text, true},
+        {6, table2, table2_text, false}}) {
+    const std::string served = server.Handle(RequestEnvelope::Serialize(
+        id, cached ? "table1" : "table2", params, 0.0, /*trace=*/true));
+    auto parsed = ResponseEnvelope::Parse(served);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(served, envelope(id, cached ? R"("cached": true)" : R"("cached": false)", text,
+                               R"(, "trace": )" + WriteJson(parsed->trace)));
+    std::string stages;
+    for (const Json& stage : parsed->trace.Find("stages")->items) {
+      stages += stage.Find("stage")->text + " ";
+    }
+    EXPECT_EQ(stages, cached ? "parse canonicalize cache " : "parse canonicalize cache engine ");
+  }
+
+  // Error messages are escaped into the envelope.
+  EXPECT_EQ(server.Handle(R"({"v": 1, "id": 7, "kind": "ta\"ble\t\u0001", "params": {}})"),
+            R"({"v": 1, "id": 7, "status": "INVALID_ARGUMENT", )"
+            R"("error": "serve request: unknown request kind \"ta\"ble\t\u0001\""})");
+
+  // Brownout: with no normal slot and the breaker tripped by the first shed, montecarlo
+  // answers degraded, from the cache when it holds the exact answer (stale) and otherwise
+  // from a run capped at degraded_trials.
+  ServerOptions options;
+  options.max_inflight = 0;
+  options.brownout.trip_sheds = 1;
+  options.brownout.degraded_trials = 500;
+  QueryServer brownout(options);
+  const Json stale = Params(R"({"protocol": "raft", "fault": {"n": 5, "p": 0.01}, )"
+                            R"("trials": 1000, "seed": 3})");
+  const std::string stale_text = engine_text(RequestKind::kMonteCarlo, stale, 0);
+  bool was_cached = false;
+  ASSERT_TRUE(brownout.cache()
+                  .GetOrCompute(ServeRequest::FromParams(RequestKind::kMonteCarlo, stale)
+                                    ->CanonicalKey(),
+                                [&]() -> Result<std::string> { return stale_text; },
+                                &was_cached)
+                  .ok());
+  EXPECT_EQ(brownout.Handle(RequestEnvelope::Serialize(8, "montecarlo", stale, 0.0)),
+            envelope(8, R"("cached": true, "degraded": true)", stale_text));
+  const Json capped = Params(R"({"protocol": "raft", "fault": {"n": 5, "p": 0.01}, )"
+                             R"("trials": 1000, "seed": 4})");
+  EXPECT_EQ(brownout.Handle(RequestEnvelope::Serialize(9, "montecarlo", capped, 0.0)),
+            envelope(9, R"("cached": false, "degraded": true)",
+                     engine_text(RequestKind::kMonteCarlo, capped, 500)));
 }
 
 TEST(QueryServerTest, DefaultDeadlineFromOptionsApplies) {

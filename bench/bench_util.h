@@ -71,44 +71,23 @@ class Table {
 class JsonReport {
  public:
   void AddTable(const std::string& name, const Table& table) {
-    std::string json = "{\"header\": [";
-    for (size_t i = 0; i < table.header().size(); ++i) {
-      json += (i > 0 ? ", " : "") + Quote(table.header()[i]);
+    Json rows = Json::Array();
+    for (const auto& row : table.rows()) {
+      rows.Append(Strings(row));
     }
-    json += "], \"rows\": [";
-    for (size_t r = 0; r < table.rows().size(); ++r) {
-      json += r > 0 ? ", [" : "[";
-      const auto& row = table.rows()[r];
-      for (size_t i = 0; i < row.size(); ++i) {
-        json += (i > 0 ? ", " : "") + Quote(row[i]);
-      }
-      json += "]";
-    }
-    json += "]}";
-    tables_.emplace_back(name, std::move(json));
+    Json cells = Json::Object();
+    cells.Set("header", Strings(table.header()));
+    cells.Set("rows", std::move(rows));
+    tables_.Set(name, std::move(cells));
   }
 
-  void AddValue(const std::string& name, double value) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-    values_.emplace_back(name, std::string(buffer));
-  }
+  void AddValue(const std::string& name, double value) { values_.Set(name, Json::Number(value)); }
 
   std::string ToJson() const {
-    std::string json = "{\n  \"tables\": {";
-    for (size_t i = 0; i < tables_.size(); ++i) {
-      json += (i > 0 ? ",\n    " : "\n    ") + Quote(tables_[i].first) + ": " +
-              tables_[i].second;
-    }
-    json += tables_.empty() ? "}" : "\n  }";
-    json += ",\n  \"values\": {";
-    for (size_t i = 0; i < values_.size(); ++i) {
-      json += (i > 0 ? ",\n    " : "\n    ") + Quote(values_[i].first) + ": " +
-              values_[i].second;
-    }
-    json += values_.empty() ? "}" : "\n  }";
-    json += "\n}\n";
-    return json;
+    Json document = Json::Object();
+    document.Set("tables", tables_);
+    document.Set("values", values_);
+    return WriteJson(document, 0) + "\n";
   }
 
   // Writes the document; prints a diagnostic and returns false when the path is not
@@ -127,12 +106,16 @@ class JsonReport {
   }
 
  private:
-  static std::string Quote(const std::string& text) {
-    return "\"" + JsonEscapeString(text) + "\"";
+  static Json Strings(const std::vector<std::string>& cells) {
+    Json array = Json::Array();
+    for (const std::string& cell : cells) {
+      array.Append(Json::String(cell));
+    }
+    return array;
   }
 
-  std::vector<std::pair<std::string, std::string>> tables_;
-  std::vector<std::pair<std::string, std::string>> values_;
+  Json tables_ = Json::Object();
+  Json values_ = Json::Object();
 };
 
 // Extracts the value of a "--json <path>" argument pair; empty string when absent.

@@ -4,8 +4,8 @@
 // from an epoll-based generator that scales from 1 to 1024 concurrent connections. Each
 // connection runs a closed loop with a pipelining window: up to `window` (8) requests of
 // that connection are in flight at once, approximating an open loop at high connection
-// counts. The conns=1 cells instead run the classic synchronous client
-// (ServeClient::Query, one request outstanding, full envelope parse per response) — the
+// counts. The conns=1 cells instead run the synchronous client (ServeClient::Query, a
+// batch of one: one request outstanding, full envelope parse per response) — the
 // pre-pipelining methodology — so the scaling cells compare against what a real single
 // client used to achieve. Four phases per connection count:
 //
@@ -239,11 +239,11 @@ int ConnectBlocking(uint16_t port) {
   return fd;
 }
 
-// The sequential baseline: ONE connection driven by the classic synchronous client
-// (ServeClient::Query — envelope built from a Json tree, blocking round trip, full
-// response parse, one request outstanding). This is exactly the pre-pipelining
-// measurement methodology, so the scaling cells' qps is comparable against what a real
-// single client used to get.
+// The sequential baseline: ONE connection driven by the synchronous client
+// (ServeClient::Query — envelope built from a Json tree, sent as a batch of one through
+// the poll-driven exchange, full response parse, one request outstanding). This is the
+// pre-pipelining measurement methodology, so the scaling cells' qps is comparable against
+// what a real single client gets.
 PhaseBooks RunSequentialPhase(uint16_t port, uint64_t total_requests,
                               const std::function<Query(size_t, uint64_t)>& make_query) {
   auto channel = serve::TcpChannel::Connect(port);
@@ -634,7 +634,7 @@ int Main(int argc, char** argv) {
   for (const size_t connections : {1u, 16u, 256u, 1024u}) {
     if (static_cast<long long>(connections) > max_connections) continue;
     // Scaling cells pipeline 8 deep per connection; the conns=1 cells instead run the
-    // classic synchronous client as the baseline (see RunSequentialPhase).
+    // synchronous client as the baseline (see RunSequentialPhase).
     const int window = 8;
     const uint64_t cold_total =
         std::max<uint64_t>(connections, std::max<uint64_t>(1, 512 / scale));

@@ -114,6 +114,7 @@ Result<WeibullFaultCurve> FitWeibull(const std::vector<LifetimeObservation>& obs
     }
   }
   const double scale = std::pow(powered.Total() / failures, 1.0 / shape);
+  RETURN_IF_ERROR(WeibullFaultCurve::Validate(shape, scale));
   return WeibullFaultCurve(shape, scale);
 }
 

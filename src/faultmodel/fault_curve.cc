@@ -49,6 +49,9 @@ double FaultCurve::Survival(double t) const { return std::exp(-CumulativeHazard(
 double FaultCurve::FailureProbability(double t0, double t1) const {
   CHECK(t0 >= 0.0 && t1 >= t0) << "bad window [" << t0 << "," << t1 << "]";
   const double delta_hazard = CumulativeHazard(t1) - CumulativeHazard(t0);
+  if (std::isnan(delta_hazard)) {
+    return delta_hazard;  // inf - inf: std::max below would turn it into 0.
+  }
   return -std::expm1(-std::max(0.0, delta_hazard));
 }
 
@@ -82,13 +85,30 @@ double FaultCurve::SampleFailureAge(double current_age, double unit_uniform) con
 // ---------------------------------------------------------------------------
 // ConstantFaultCurve
 
+Status ConstantFaultCurve::Validate(double rate) {
+  if (!(rate >= 0.0) || !std::isfinite(rate)) {
+    return InvalidArgumentError("constant curve requires a finite rate >= 0");
+  }
+  return Status::Ok();
+}
+
 ConstantFaultCurve::ConstantFaultCurve(double rate) : rate_(rate) {
-  CHECK_GE(rate, 0.0);
+  const Status valid = Validate(rate);
+  CHECK(valid.ok()) << valid.ToString();
+}
+
+Status ConstantFaultCurve::ValidateWindowProbability(double p, double window) {
+  if (!(p >= 0.0 && p < 1.0) || !(window > 0.0) || !std::isfinite(window)) {
+    return InvalidArgumentError(
+        "constant curve via window_probability requires window_probability in [0, 1) and a "
+        "finite window > 0");
+  }
+  return Status::Ok();
 }
 
 ConstantFaultCurve ConstantFaultCurve::FromWindowProbability(double p, double window) {
-  CHECK(p >= 0.0 && p < 1.0) << "window probability out of range:" << p;
-  CHECK_GT(window, 0.0);
+  const Status valid = ValidateWindowProbability(p, window);
+  CHECK(valid.ok()) << valid.ToString();
   return ConstantFaultCurve(-std::log1p(-p) / window);
 }
 
@@ -112,10 +132,17 @@ std::unique_ptr<FaultCurve> ConstantFaultCurve::Clone() const {
 // ---------------------------------------------------------------------------
 // WeibullFaultCurve
 
+Status WeibullFaultCurve::Validate(double shape, double scale) {
+  if (!(shape > 0.0) || !(scale > 0.0) || !std::isfinite(shape) || !std::isfinite(scale)) {
+    return InvalidArgumentError("weibull curve requires finite shape > 0 and scale > 0");
+  }
+  return Status::Ok();
+}
+
 WeibullFaultCurve::WeibullFaultCurve(double shape, double scale)
     : shape_(shape), scale_(scale) {
-  CHECK_GT(shape, 0.0);
-  CHECK_GT(scale, 0.0);
+  const Status valid = Validate(shape, scale);
+  CHECK(valid.ok()) << valid.ToString();
 }
 
 double WeibullFaultCurve::HazardRate(double t) const {
@@ -154,9 +181,18 @@ std::unique_ptr<FaultCurve> WeibullFaultCurve::Clone() const {
 // ---------------------------------------------------------------------------
 // GompertzFaultCurve
 
+Status GompertzFaultCurve::Validate(double base_rate, double aging_rate) {
+  if (!(base_rate >= 0.0) || !std::isfinite(base_rate) || !std::isfinite(aging_rate)) {
+    return InvalidArgumentError(
+        "gompertz curve requires a finite base_rate >= 0 and a finite aging_rate");
+  }
+  return Status::Ok();
+}
+
 GompertzFaultCurve::GompertzFaultCurve(double base_rate, double aging_rate)
     : base_rate_(base_rate), aging_rate_(aging_rate) {
-  CHECK_GE(base_rate, 0.0);
+  const Status valid = Validate(base_rate, aging_rate);
+  CHECK(valid.ok()) << valid.ToString();
 }
 
 double GompertzFaultCurve::HazardRate(double t) const {
@@ -231,11 +267,24 @@ std::unique_ptr<FaultCurve> CompositeFaultCurve::Clone() const {
   return std::make_unique<CompositeFaultCurve>(*this);
 }
 
+Status ValidateBathtubCurve(double infant_shape, double infant_scale, double useful_life_rate,
+                            double wearout_shape, double wearout_scale) {
+  if (!(infant_shape < 1.0) || !(wearout_shape > 1.0)) {
+    return InvalidArgumentError(
+        "bathtub curve requires infant_shape < 1 (infant mortality) and wearout_shape > 1 "
+        "(wear-out)");
+  }
+  RETURN_IF_ERROR(WeibullFaultCurve::Validate(infant_shape, infant_scale));
+  RETURN_IF_ERROR(ConstantFaultCurve::Validate(useful_life_rate));
+  return WeibullFaultCurve::Validate(wearout_shape, wearout_scale);
+}
+
 CompositeFaultCurve MakeBathtubCurve(double infant_shape, double infant_scale,
                                      double useful_life_rate, double wearout_shape,
                                      double wearout_scale) {
-  CHECK_LT(infant_shape, 1.0);
-  CHECK_GT(wearout_shape, 1.0);
+  const Status valid = ValidateBathtubCurve(infant_shape, infant_scale, useful_life_rate,
+                                            wearout_shape, wearout_scale);
+  CHECK(valid.ok()) << valid.ToString();
   std::vector<std::unique_ptr<FaultCurve>> parts;
   parts.push_back(std::make_unique<WeibullFaultCurve>(infant_shape, infant_scale));
   parts.push_back(std::make_unique<ConstantFaultCurve>(useful_life_rate));

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
+
 namespace probcon {
 
 class FaultCurve {
@@ -36,7 +38,8 @@ class FaultCurve {
   // Survival probability to age t.
   double Survival(double t) const;
 
-  // Probability of failing during [t0, t1], conditioned on being alive at t0.
+  // Probability of failing during [t0, t1], conditioned on being alive at t0. NaN when
+  // both cumulative hazards overflow, so callers reject it rather than read "never fails".
   double FailureProbability(double t0, double t1) const;
 
   // Samples a failure age for a device alive at `current_age` (inverse-CDF via bisection on
@@ -47,11 +50,19 @@ class FaultCurve {
   virtual std::unique_ptr<FaultCurve> Clone() const = 0;
 };
 
+// Each curve states its preconditions once, as a static Validate whose Status the
+// constructor CHECKs; edge callers (the serving daemon) call it first and surface the
+// Status, so no limit is written twice.
+
 // Memoryless constant-rate curve; the model behind every number in the paper's §3 analysis.
 class ConstantFaultCurve final : public FaultCurve {
  public:
+  // A finite rate >= 0.
+  static Status Validate(double rate);
   explicit ConstantFaultCurve(double rate);
 
+  // 0 <= p < 1 and a positive finite window.
+  static Status ValidateWindowProbability(double p, double window);
   // Curve whose probability of failure within `window` equals `p` (e.g. "1% per analysis
   // window", the paper's p_u).
   static ConstantFaultCurve FromWindowProbability(double p, double window);
@@ -72,6 +83,8 @@ class ConstantFaultCurve final : public FaultCurve {
 // shape < 1: infant mortality; shape == 1: constant; shape > 1: wear-out.
 class WeibullFaultCurve final : public FaultCurve {
  public:
+  // Finite shape > 0 and scale > 0.
+  static Status Validate(double shape, double scale);
   WeibullFaultCurve(double shape, double scale);
 
   double shape() const { return shape_; }
@@ -94,6 +107,8 @@ class WeibullFaultCurve final : public FaultCurve {
 // degenerates to a constant curve; negative rates model burn-in improvement.
 class GompertzFaultCurve final : public FaultCurve {
  public:
+  // A finite base_rate >= 0 and a finite aging_rate.
+  static Status Validate(double base_rate, double aging_rate);
   GompertzFaultCurve(double base_rate, double aging_rate);
 
   double base_rate() const { return base_rate_; }
@@ -127,6 +142,11 @@ class CompositeFaultCurve final : public FaultCurve {
  private:
   std::vector<std::unique_ptr<FaultCurve>> components_;
 };
+
+// The bathtub's preconditions: an infant-mortality Weibull (infant_shape < 1), a valid
+// constant useful-life rate, and a wear-out Weibull (wearout_shape > 1).
+Status ValidateBathtubCurve(double infant_shape, double infant_scale, double useful_life_rate,
+                            double wearout_shape, double wearout_scale);
 
 // Convenience constructor for the disk-style bathtub shape.
 CompositeFaultCurve MakeBathtubCurve(double infant_shape, double infant_scale,

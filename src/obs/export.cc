@@ -26,34 +26,6 @@ std::string CsvEscape(std::string_view text) {
   return result;
 }
 
-void WriteHistogramJson(const Histogram& histogram, std::ostream& out) {
-  const HistogramSnapshot snap = histogram.snapshot();
-  out << "{\"count\": " << snap.count;
-  if (snap.count > 0) {
-    out << ", \"sum\": " << FormatMetricValue(snap.sum)
-        << ", \"min\": " << FormatMetricValue(snap.min)
-        << ", \"max\": " << FormatMetricValue(snap.max)
-        << ", \"mean\": " << FormatMetricValue(snap.Mean())
-        << ", \"p50\": " << FormatMetricValue(snap.Quantile(0.5))
-        << ", \"p90\": " << FormatMetricValue(snap.Quantile(0.9))
-        << ", \"p99\": " << FormatMetricValue(snap.Quantile(0.99));
-  }
-  out << ", \"buckets\": [";
-  for (size_t i = 0; i < snap.counts.size(); ++i) {
-    if (i > 0) {
-      out << ", ";
-    }
-    out << "{\"le\": ";
-    if (i < snap.bounds.size()) {
-      out << FormatMetricValue(snap.bounds[i]);
-    } else {
-      out << "\"inf\"";
-    }
-    out << ", \"count\": " << snap.counts[i] << "}";
-  }
-  out << "]}";
-}
-
 Json HistogramToJsonValue(const Histogram& histogram) {
   const HistogramSnapshot snap = histogram.snapshot();
   Json value = Json::Object();
@@ -128,27 +100,7 @@ std::string TraceToCsv(const TraceLog& trace) {
 }
 
 void WriteMetricsJson(const MetricsRegistry& metrics, std::ostream& out) {
-  out << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : metrics.counters()) {
-    out << (first ? "" : ", ") << "\"" << JsonEscapeString(name) << "\": " << counter.value();
-    first = false;
-  }
-  out << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : metrics.gauges()) {
-    out << (first ? "" : ", ") << "\"" << JsonEscapeString(name)
-        << "\": " << FormatMetricValue(gauge.value());
-    first = false;
-  }
-  out << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : metrics.histograms()) {
-    out << (first ? "" : ", ") << "\"" << JsonEscapeString(name) << "\": ";
-    WriteHistogramJson(histogram, out);
-    first = false;
-  }
-  out << "}\n}\n";
+  out << WriteJson(MetricsToJsonValue(metrics)) << "\n";
 }
 
 std::string MetricsToJson(const MetricsRegistry& metrics) {

@@ -147,38 +147,23 @@ int main(int argc, char** argv) {
     std::printf("%s\n", probcon::WriteJson(rendered, 0).c_str());
   };
 
+  // Each round pipelines up to --concurrency repeats over the single connection;
+  // QueryBatch returns envelopes in request order regardless of server-side completion
+  // order.
   for (long long done = 0; done < repeat;) {
-    const long long batch = std::min(concurrency, repeat - done);
-    if (batch == 1) {
-      probcon::Result<probcon::serve::ResponseEnvelope> response =
-          client.Query(kind, *params, deadline_ms, trace);
-      if (!response.ok()) {
-        std::fprintf(stderr, "probcon-cli: %s\n", response.status().ToString().c_str());
-        return 1;
-      }
-      print_response(*response);
-    } else {
-      // Pipeline the batch over the single connection; QueryBatch returns envelopes in
-      // request order regardless of server-side completion order.
-      std::vector<probcon::serve::ServeClient::BatchItem> items(
-          static_cast<size_t>(batch));
-      for (auto& item : items) {
-        item.kind = kind;
-        item.params = *params;
-        item.deadline_ms = deadline_ms;
-        item.trace = trace;
-      }
-      probcon::Result<std::vector<probcon::serve::ResponseEnvelope>> responses =
-          client.QueryBatch(items);
-      if (!responses.ok()) {
-        std::fprintf(stderr, "probcon-cli: %s\n", responses.status().ToString().c_str());
-        return 1;
-      }
-      for (const auto& response : *responses) {
-        print_response(response);
-      }
+    const std::vector<probcon::serve::ServeClient::BatchItem> items(
+        static_cast<size_t>(std::min(concurrency, repeat - done)),
+        {kind, *params, deadline_ms, trace});
+    probcon::Result<std::vector<probcon::serve::ResponseEnvelope>> responses =
+        client.QueryBatch(items);
+    if (!responses.ok()) {
+      std::fprintf(stderr, "probcon-cli: %s\n", responses.status().ToString().c_str());
+      return 1;
     }
-    done += batch;
+    for (const auto& response : *responses) {
+      print_response(response);
+    }
+    done += static_cast<long long>(items.size());
   }
   return exit_code;
 }

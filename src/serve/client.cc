@@ -16,6 +16,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -26,24 +27,6 @@
 #include "src/serve/server.h"
 
 namespace probcon::serve {
-
-Result<std::vector<std::string>> Channel::RoundTripBatch(
-    const std::vector<std::string>& payloads) {
-  std::vector<std::string> responses;
-  responses.reserve(payloads.size());
-  for (const std::string& payload : payloads) {
-    Result<std::string> response = RoundTrip(payload);
-    if (!response.ok()) {
-      return response.status();
-    }
-    responses.push_back(*std::move(response));
-  }
-  return responses;
-}
-
-Result<std::string> LoopbackChannel::RoundTrip(const std::string& payload) {
-  return server_.Handle(payload);
-}
 
 Result<std::vector<std::string>> LoopbackChannel::RoundTripBatch(
     const std::vector<std::string>& payloads) {
@@ -105,97 +88,47 @@ Result<std::unique_ptr<TcpChannel>> TcpChannel::Connect(uint16_t port, double ti
   if (fd < 0) {
     return UnavailableError("socket(): " + std::string(std::strerror(errno)));
   }
+  auto fail = [fd, port](const std::string& error) {
+    ::close(fd);
+    return UnavailableError("connect(127.0.0.1:" + std::to_string(port) + "): " + error);
+  };
+  // Nonblocking connect bounded by poll() (unbounded without a timeout); the fd stays
+  // nonblocking so the exchange can enforce its whole-exchange deadline with poll() too.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
+    return fail("fcntl(O_NONBLOCK): " + std::string(std::strerror(errno)));
+  }
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   address.sin_port = htons(port);
-  if (timeout_ms > 0.0) {
-    // Nonblocking connect bounded by poll(); the fd stays nonblocking so the exchange
-    // paths can enforce the whole-exchange deadline with poll() as well.
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-      const std::string error = std::strerror(errno);
-      ::close(fd);
-      return UnavailableError("fcntl(O_NONBLOCK): " + error);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) < 0) {
+    if (errno != EINPROGRESS) {
+      return fail(std::strerror(errno));
     }
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) < 0) {
-      if (errno != EINPROGRESS) {
-        const std::string error = std::strerror(errno);
-        ::close(fd);
-        return UnavailableError("connect(127.0.0.1:" + std::to_string(port) + "): " + error);
-      }
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      const int wait_ms = static_cast<int>(std::ceil(timeout_ms));
-      const int ready = ::poll(&pfd, 1, wait_ms > 0 ? wait_ms : 1);
-      if (ready <= 0) {
-        ::close(fd);
-        return UnavailableError("connect(127.0.0.1:" + std::to_string(port) +
-                                "): timed out after " + std::to_string(wait_ms) + "ms");
-      }
-      int so_error = 0;
-      socklen_t len = sizeof(so_error);
-      if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0 || so_error != 0) {
-        const std::string error = std::strerror(so_error != 0 ? so_error : errno);
-        ::close(fd);
-        return UnavailableError("connect(127.0.0.1:" + std::to_string(port) + "): " + error);
-      }
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLOUT;
+    const int wait_ms =
+        timeout_ms > 0.0 ? std::max(1, static_cast<int>(std::ceil(timeout_ms))) : -1;
+    const int ready = ::poll(&pfd, 1, wait_ms);
+    if (ready == 0) {
+      return fail("timed out after " + std::to_string(wait_ms) + "ms");
     }
-  } else if (::connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) < 0) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return UnavailableError("connect(127.0.0.1:" + std::to_string(port) + "): " + error);
+    if (ready < 0) {
+      return fail("poll(): " + std::string(std::strerror(errno)));
+    }
+    int so_error = 0;
+    socklen_t len = sizeof(so_error);
+    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0 || so_error != 0) {
+      return fail(std::strerror(so_error != 0 ? so_error : errno));
+    }
   }
   // NOLINTNEXTLINE(probcon-ownership): private constructor; make_unique cannot reach it.
   return std::unique_ptr<TcpChannel>(new TcpChannel(fd, timeout_ms));
 }
 
 void TcpChannel::Abort() { ::shutdown(fd_, SHUT_RDWR); }
-
-Result<std::string> TcpChannel::RoundTrip(const std::string& payload) {
-  if (timeout_ms_ > 0.0) {
-    // The fd is nonblocking; reuse the poll-driven batch path so the whole-exchange
-    // deadline applies.
-    Result<std::vector<std::string>> responses = RoundTripBatch({payload});
-    if (!responses.ok()) {
-      return responses.status();
-    }
-    return std::move((*responses)[0]);
-  }
-  const std::string frame = EncodeFrame(payload);
-  size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      return UnavailableError("send(): " + std::string(std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  FrameDecoder decoder;
-  char buffer[16 * 1024];
-  while (true) {
-    Result<std::optional<std::string>> next = decoder.Next();
-    if (!next.ok()) {
-      return next.status();
-    }
-    if (next->has_value()) {
-      return **next;
-    }
-    const ssize_t received = ::recv(fd_, buffer, sizeof(buffer), 0);
-    if (received < 0) {
-      return UnavailableError("recv(): " + std::string(std::strerror(errno)));
-    }
-    if (received == 0) {
-      Status eof = decoder.AtEof();
-      if (!eof.ok()) {
-        return eof;
-      }
-      return UnavailableError("connection closed before the response arrived");
-    }
-    decoder.Feed(std::string_view(buffer, static_cast<size_t>(received)));
-  }
-}
 
 Result<std::vector<std::string>> TcpChannel::RoundTripBatch(
     const std::vector<std::string>& payloads) {
@@ -298,31 +231,46 @@ Result<std::vector<std::string>> TcpChannel::RoundTripBatch(
   return responses;
 }
 
-Result<ResponseEnvelope> ServeClient::Query(std::string_view kind, const Json& params,
-                                            double deadline_ms, bool trace) {
-  const uint64_t id = next_id_++;
-  const std::string payload = RequestEnvelope::Serialize(id, kind, params, deadline_ms, trace);
-  Result<std::string> response = channel_->RoundTrip(payload);
-  if (!response.ok()) {
-    return response.status();
+namespace {
+
+// Routes each raw response to the request slot its envelope id names, erasing the id from
+// `unanswered` (request id -> slot). An unparseable response, an id that matches no
+// outstanding request, or a request left unanswered means the stream is damaged: routing
+// stops with a non-OK status and the connection is unusable.
+template <typename Slot>
+Status RouteResponses(const std::vector<std::string>& raw,
+                      std::map<uint64_t, size_t>& unanswered, std::vector<Slot>& slots) {
+  for (const std::string& text : raw) {
+    Result<ResponseEnvelope> envelope = ResponseEnvelope::Parse(text);
+    if (!envelope.ok()) {
+      return envelope.status();
+    }
+    const auto slot = unanswered.find(envelope->id);
+    if (slot == unanswered.end()) {
+      return UnavailableError("response id " + std::to_string(envelope->id) +
+                              " matches no outstanding request in the batch");
+    }
+    slots[slot->second] = std::move(*envelope);
+    unanswered.erase(slot);
   }
-  Result<ResponseEnvelope> envelope = ResponseEnvelope::Parse(*response);
-  if (envelope.ok() && envelope->id != id) {
-    return UnavailableError("response id " + std::to_string(envelope->id) +
-                            " does not match request id " + std::to_string(id) +
-                            " (corrupt stream)");
+  if (!unanswered.empty()) {
+    return UnavailableError("batch returned " + std::to_string(raw.size()) +
+                            " responses for " + std::to_string(raw.size() + unanswered.size()) +
+                            " requests");
   }
-  return envelope;
+  return Status::Ok();
 }
+
+}  // namespace
 
 Result<std::vector<ResponseEnvelope>> ServeClient::QueryBatch(
     const std::vector<BatchItem>& items) {
   std::vector<std::string> payloads;
   payloads.reserve(items.size());
-  std::map<uint64_t, size_t> slot_by_id;
+  std::map<uint64_t, size_t> unanswered;
   for (size_t i = 0; i < items.size(); ++i) {
     const uint64_t id = next_id_++;
-    slot_by_id[id] = i;
+    unanswered[id] = i;
     payloads.push_back(RequestEnvelope::Serialize(id, items[i].kind, items[i].params,
                                                   items[i].deadline_ms, items[i].trace));
   }
@@ -330,30 +278,19 @@ Result<std::vector<ResponseEnvelope>> ServeClient::QueryBatch(
   if (!raw.ok()) {
     return raw.status();
   }
-  if (raw->size() != items.size()) {
-    // A count mismatch means the stream lost or invented frames — wire corruption, not a
-    // server verdict; UNAVAILABLE tells callers the connection is unusable.
-    return UnavailableError("batch returned " + std::to_string(raw->size()) +
-                            " responses for " + std::to_string(items.size()) + " requests");
-  }
-  // Responses arrive in completion order; the envelope id routes each one back to its
-  // request slot.
   std::vector<ResponseEnvelope> ordered(items.size());
-  std::vector<bool> filled(items.size(), false);
-  for (const std::string& text : *raw) {
-    Result<ResponseEnvelope> envelope = ResponseEnvelope::Parse(text);
-    if (!envelope.ok()) {
-      return envelope.status();
-    }
-    const auto slot = slot_by_id.find(envelope->id);
-    if (slot == slot_by_id.end() || filled[slot->second]) {
-      return UnavailableError("response id " + std::to_string(envelope->id) +
-                              " matches no outstanding request in the batch");
-    }
-    filled[slot->second] = true;
-    ordered[slot->second] = *std::move(envelope);
-  }
+  RETURN_IF_ERROR(RouteResponses(*raw, unanswered, ordered));
   return ordered;
+}
+
+Result<ResponseEnvelope> ServeClient::Query(std::string_view kind, const Json& params,
+                                            double deadline_ms, bool trace) {
+  Result<std::vector<ResponseEnvelope>> batch =
+      QueryBatch({{std::string(kind), params, deadline_ms, trace}});
+  if (!batch.ok()) {
+    return batch.status();
+  }
+  return std::move(batch->front());
 }
 
 // ---------------------------------------------------------------------------
@@ -444,61 +381,6 @@ bool ResilientClient::BackoffBeforeRetry(double remaining_ms) {
   return true;
 }
 
-Result<ResponseEnvelope> ResilientClient::Query(std::string_view kind, const Json& params,
-                                                double deadline_ms, bool trace) {
-  const auto start = std::chrono::steady_clock::now();
-  const bool bounded = deadline_ms > 0.0;
-  Status last = UnavailableError("no attempt was made");
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0 && !BackoffBeforeRetry(RemainingMs(start, deadline_ms))) {
-      break;
-    }
-    const double remaining = RemainingMs(start, deadline_ms);
-    if (remaining <= 0.0) {
-      break;
-    }
-    Status ready = EnsureChannel();
-    if (!ready.ok()) {
-      last = ready;
-      continue;
-    }
-    const uint64_t id = next_id_++;
-    const std::string payload =
-        RequestEnvelope::Serialize(id, kind, params, bounded ? remaining : 0.0, trace);
-    Result<std::string> raw = channel_->RoundTrip(payload);
-    if (!raw.ok()) {
-      last = raw.status();
-      channel_.reset();  // The stream state is unknown; retries dial fresh.
-      continue;
-    }
-    Result<ResponseEnvelope> envelope = ResponseEnvelope::Parse(*raw);
-    if (!envelope.ok()) {
-      last = envelope.status();
-      channel_.reset();
-      continue;
-    }
-    if (envelope->id != id) {
-      last = UnavailableError("response id " + std::to_string(envelope->id) +
-                              " does not match request id " + std::to_string(id) +
-                              " (corrupt stream)");
-      channel_.reset();
-      continue;
-    }
-    if (!envelope->status.ok() && RetryableStatus(envelope->status.code()) &&
-        attempt + 1 < options_.max_attempts) {
-      // Definite server answer asking for a retry; the connection itself is healthy.
-      last = envelope->status;
-      continue;
-    }
-    return envelope;
-  }
-  if (bounded && RemainingMs(start, deadline_ms) <= 0.0) {
-    return DeadlineExceededError("call deadline of " + std::to_string(deadline_ms) +
-                                 "ms expired during retries; last error: " + last.message());
-  }
-  return last;
-}
-
 Result<std::vector<std::string>> ResilientClient::ExchangeBatch(
     const std::vector<std::string>& payloads) {
   if (options_.hedge_delay_ms <= 0.0) {
@@ -569,45 +451,42 @@ Result<std::vector<std::string>> ResilientClient::ExchangeBatch(
   return primary;
 }
 
-Result<std::vector<ResponseEnvelope>> ResilientClient::QueryBatch(
+std::vector<Result<ResponseEnvelope>> ResilientClient::Resolve(
     const std::vector<ServeClient::BatchItem>& items) {
   const auto start = std::chrono::steady_clock::now();
   // The retry loop is bounded by the longest per-item deadline; one unbounded item makes
   // the loop unbounded (max_attempts and the budget still apply).
-  bool bounded = true;
   double call_deadline_ms = 0.0;
   for (const ServeClient::BatchItem& item : items) {
     if (item.deadline_ms <= 0.0) {
-      bounded = false;
-    } else {
-      call_deadline_ms = std::max(call_deadline_ms, item.deadline_ms);
+      call_deadline_ms = 0.0;
+      break;
     }
-  }
-  if (!bounded) {
-    call_deadline_ms = 0.0;
+    call_deadline_ms = std::max(call_deadline_ms, item.deadline_ms);
   }
 
-  std::vector<std::optional<ResponseEnvelope>> resolved(items.size());
+  // Each item's latest outcome: the envelope it was last answered with, or the failure
+  // that last left it unanswered. An item is pending until its envelope is a verdict.
+  std::vector<Result<ResponseEnvelope>> outcomes(items.size(),
+                                                 UnavailableError("no attempt was made"));
   std::vector<size_t> pending(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    pending[i] = i;
-  }
-  Status last = UnavailableError("no attempt was made");
+  std::iota(pending.begin(), pending.end(), 0);
   for (int attempt = 0; attempt < options_.max_attempts && !pending.empty(); ++attempt) {
     if (attempt > 0 && !BackoffBeforeRetry(RemainingMs(start, call_deadline_ms))) {
       break;
     }
-    const double remaining = RemainingMs(start, call_deadline_ms);
-    if (remaining <= 0.0) {
+    if (RemainingMs(start, call_deadline_ms) <= 0.0) {
       break;
     }
-    Status ready = EnsureChannel();
+    const Status ready = EnsureChannel();
     if (!ready.ok()) {
-      last = ready;
+      for (size_t slot : pending) {
+        outcomes[slot] = ready;
+      }
       continue;
     }
     // Re-send only the unresolved items, with fresh ids and their remaining deadlines.
-    std::map<uint64_t, size_t> slot_by_id;
+    std::map<uint64_t, size_t> unanswered;
     std::vector<std::string> payloads;
     payloads.reserve(pending.size());
     for (size_t slot : pending) {
@@ -617,67 +496,51 @@ Result<std::vector<ResponseEnvelope>> ResilientClient::QueryBatch(
         item_deadline = std::max(1.0, RemainingMs(start, item_deadline));
       }
       const uint64_t id = next_id_++;
-      slot_by_id[id] = slot;
+      unanswered[id] = slot;
       payloads.push_back(
           RequestEnvelope::Serialize(id, item.kind, item.params, item_deadline, item.trace));
     }
     Result<std::vector<std::string>> raw = ExchangeBatch(payloads);
-    if (!raw.ok()) {
-      last = raw.status();
-      channel_.reset();
-      continue;
-    }
-    bool corrupt = false;
-    for (const std::string& text : *raw) {
-      Result<ResponseEnvelope> envelope = ResponseEnvelope::Parse(text);
-      if (!envelope.ok()) {
-        last = envelope.status();
-        corrupt = true;
-        break;
-      }
-      const auto slot = slot_by_id.find(envelope->id);
-      if (slot == slot_by_id.end() || resolved[slot->second].has_value()) {
-        last = UnavailableError("response id " + std::to_string(envelope->id) +
-                                " matches no outstanding request in the batch");
-        corrupt = true;
-        break;
-      }
-      if (!envelope->status.ok() && RetryableStatus(envelope->status.code())) {
-        last = envelope->status;  // Leave the slot pending for the next attempt.
-        continue;
-      }
-      resolved[slot->second] = *std::move(envelope);
-    }
-    if (corrupt) {
-      channel_.reset();
-    }
-    std::vector<size_t> still;
-    for (size_t slot : pending) {
-      if (!resolved[slot].has_value()) {
-        still.push_back(slot);
+    const Status routed = raw.ok() ? RouteResponses(*raw, unanswered, outcomes) : raw.status();
+    if (!routed.ok()) {
+      channel_.reset();  // The stream state is unknown; retries dial fresh.
+      for (const auto& [id, slot] : unanswered) {
+        outcomes[slot] = routed;
       }
     }
-    pending = std::move(still);
+    std::erase_if(pending, [&outcomes](size_t slot) {
+      return outcomes[slot].ok() && !RetryableStatus(outcomes[slot]->status.code());
+    });
   }
 
-  std::vector<ResponseEnvelope> ordered(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (resolved[i].has_value()) {
-      ordered[i] = *std::move(resolved[i]);
-      continue;
+  if (RemainingMs(start, call_deadline_ms) <= 0.0) {
+    for (size_t slot : pending) {
+      const Status& last = outcomes[slot].ok() ? outcomes[slot]->status : outcomes[slot].status();
+      outcomes[slot] =
+          DeadlineExceededError("call deadline of " + std::to_string(call_deadline_ms) +
+                                "ms expired during retries; last error: " + last.message());
     }
-    // Exhausted the policy: the item still gets a definite envelope carrying the last
-    // transport/retryable status (DEADLINE_EXCEEDED when the call deadline ran out).
-    ResponseEnvelope envelope;
-    envelope.id = 0;
-    envelope.status =
-        (bounded && RemainingMs(start, call_deadline_ms) <= 0.0)
-            ? DeadlineExceededError("call deadline of " + std::to_string(call_deadline_ms) +
-                                    "ms expired during retries; last error: " + last.message())
-            : last;
-    ordered[i] = std::move(envelope);
   }
-  return ordered;
+  return outcomes;
+}
+
+Result<std::vector<ResponseEnvelope>> ResilientClient::QueryBatch(
+    const std::vector<ServeClient::BatchItem>& items) {
+  std::vector<Result<ResponseEnvelope>> outcomes = Resolve(items);
+  std::vector<ResponseEnvelope> envelopes(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (outcomes[i].ok()) {
+      envelopes[i] = std::move(*outcomes[i]);
+    } else {
+      envelopes[i].status = outcomes[i].status();
+    }
+  }
+  return envelopes;
+}
+
+Result<ResponseEnvelope> ResilientClient::Query(std::string_view kind, const Json& params,
+                                                double deadline_ms, bool trace) {
+  return std::move(Resolve({{std::string(kind), params, deadline_ms, trace}}).front());
 }
 
 }  // namespace probcon::serve

@@ -5,12 +5,12 @@
 //     testable without binding ports.
 //   * TcpChannel — the framed TCP protocol against a probcond daemon.
 //
-// ServeClient layers envelope assembly/parsing on any channel. Request ids are assigned
-// monotonically per client. RoundTrip keeps the classic one-outstanding-request shape;
-// RoundTripBatch pipelines a whole batch over the same connection — both channels bound
-// the batch to kDefaultMaxInflightPerConn requests in flight at once, mirroring the
-// server-side pipelining cap, and QueryBatch matches the (possibly out-of-order)
-// responses back to request order by envelope id.
+// A channel has one exchange, RoundTripBatch: it pipelines a batch of request envelopes
+// over one connection, at most kDefaultMaxInflightPerConn in flight at once (the
+// server-side pipelining cap), and returns the responses in arrival order. ServeClient
+// layers envelope assembly/parsing on any channel and matches the (possibly out-of-order)
+// responses back to request order by envelope id; a single Query is a batch of one.
+// Request ids are assigned monotonically per client.
 
 #ifndef PROBCON_SRC_SERVE_CLIENT_H_
 #define PROBCON_SRC_SERVE_CLIENT_H_
@@ -35,18 +35,16 @@ namespace probcon::serve {
 
 class QueryServer;
 
-// One request/response exchange; `payload` and the returned string are envelope JSON.
+// The request/response exchange; payloads and responses are envelope JSON.
 class Channel {
  public:
   virtual ~Channel() = default;
-  virtual Result<std::string> RoundTrip(const std::string& payload) = 0;
 
   // Sends every payload over this channel and returns the raw responses in ARRIVAL
   // order — with pipelining that is not request order; callers correlate by envelope id
-  // (ServeClient::QueryBatch does). The base implementation degrades to sequential
-  // RoundTrip calls; pipelining channels override it.
+  // (ServeClient::QueryBatch does).
   virtual Result<std::vector<std::string>> RoundTripBatch(
-      const std::vector<std::string>& payloads);
+      const std::vector<std::string>& payloads) = 0;
 
   // Best-effort cross-thread cancel of any in-progress exchange: the losing side of a
   // hedged pair is aborted so its thread unblocks promptly. Default is a no-op (loopback
@@ -59,7 +57,6 @@ class Channel {
 class LoopbackChannel final : public Channel {
  public:
   explicit LoopbackChannel(QueryServer& server) : server_(server) {}
-  Result<std::string> RoundTrip(const std::string& payload) override;
 
   // Pipelines through QueryServer::Submit, keeping at most kDefaultMaxInflightPerConn
   // requests in flight — the same cap the TCP transport enforces per connection — and
@@ -76,26 +73,23 @@ class TcpChannel final : public Channel {
  public:
   ~TcpChannel() override;
 
-  // `timeout_ms > 0` bounds the connect AND each later exchange (RoundTrip or
-  // RoundTripBatch) as a whole: an exchange still incomplete after `timeout_ms` of wall
-  // time fails with UNAVAILABLE. This is the defense against stalled and slow-dripped
-  // connections — without a whole-exchange bound, a peer trickling one byte per poll
-  // interval defeats any per-read timeout. `timeout_ms <= 0` keeps the classic unbounded
-  // blocking behavior.
+  // `timeout_ms > 0` bounds the connect AND each later exchange as a whole: an exchange
+  // still incomplete after `timeout_ms` of wall time fails with UNAVAILABLE. This is the
+  // defense against stalled and slow-dripped connections — without a whole-exchange
+  // bound, a peer trickling one byte per poll interval defeats any per-read timeout.
+  // `timeout_ms <= 0` leaves both unbounded.
   static Result<std::unique_ptr<TcpChannel>> Connect(uint16_t port, double timeout_ms = 0.0);
 
-  Result<std::string> RoundTrip(const std::string& payload) override;
-
-  // Pipelined batch: interleaves nonblocking sends with reads (poll on POLLIN|POLLOUT),
-  // so the client never sits in a blocking send while the server waits for it to drain
-  // responses. Caps the unsent backlog so at most ~kDefaultMaxInflightPerConn requests
-  // are on the wire ahead of the oldest unanswered one.
+  // Interleaves nonblocking sends with reads (poll on POLLIN|POLLOUT), so the client never
+  // sits in a blocking send while the server waits for it to drain responses. Caps the
+  // unsent backlog so at most ~kDefaultMaxInflightPerConn requests are on the wire ahead
+  // of the oldest unanswered one.
   Result<std::vector<std::string>> RoundTripBatch(
       const std::vector<std::string>& payloads) override;
 
   // Shuts the socket down (both directions) without closing the fd, so an exchange blocked
   // in another thread observes EOF and fails with UNAVAILABLE. Safe to call concurrently
-  // with RoundTrip/RoundTripBatch; the fd itself is closed only by the destructor.
+  // with RoundTripBatch; the fd itself is closed only by the destructor.
   void Abort() override;
 
  private:
@@ -110,16 +104,10 @@ class ServeClient {
   // Takes ownership of `channel`.
   explicit ServeClient(std::unique_ptr<Channel> channel) : channel_(std::move(channel)) {}
 
-  // Issues one query. `params` is the raw params object; `deadline_ms <= 0` means no
+  // One query. `params` is the raw params object; `deadline_ms <= 0` means no
   // client-requested deadline. `trace` asks the server to echo its per-stage span
   // breakdown in the response envelope's `trace` field (kNull when not requested or the
-  // request failed). The returned envelope's `status` carries server-side errors; a
-  // non-OK Result means the exchange itself failed (connection, framing, unparseable
-  // response).
-  Result<ResponseEnvelope> Query(std::string_view kind, const Json& params,
-                                 double deadline_ms = 0.0, bool trace = false);
-
-  // One entry of a pipelined batch; same fields as Query's parameters.
+  // request failed).
   struct BatchItem {
     std::string kind;
     Json params;
@@ -129,9 +117,13 @@ class ServeClient {
 
   // Issues the whole batch pipelined over the channel and returns envelopes in REQUEST
   // order: responses arrive out of order and are matched back by id. A non-OK Result
-  // means the exchange failed (connection, framing, a response id that matches no
-  // request); per-request errors ride in each envelope's `status`.
+  // means the exchange failed (connection, framing, unparseable response, a response id
+  // that matches no request); per-request errors ride in each envelope's `status`.
   Result<std::vector<ResponseEnvelope>> QueryBatch(const std::vector<BatchItem>& items);
+
+  // QueryBatch of one item.
+  Result<ResponseEnvelope> Query(std::string_view kind, const Json& params,
+                                 double deadline_ms = 0.0, bool trace = false);
 
  private:
   std::unique_ptr<Channel> channel_;
@@ -160,10 +152,9 @@ struct RetryOptions {
   // Per-attempt wall bound handed to the channel factory (TcpFactory wires it into
   // TcpChannel::Connect); 0 leaves attempts unbounded.
   double attempt_timeout_ms = 0.0;
-  // > 0 arms a hedged second batch for QueryBatch: if the primary exchange has not
-  // completed after this many milliseconds, a second connection races the same batch and
-  // the first complete result wins (the loser is Abort()ed). Safe because every query
-  // verb is pure.
+  // > 0 arms a hedge for every exchange: if the primary exchange has not completed after
+  // this many milliseconds, a second connection races the same batch and the first
+  // complete result wins (the loser is Abort()ed). Safe because every query verb is pure.
   double hedge_delay_ms = 0.0;
 };
 
@@ -180,6 +171,11 @@ struct RetryOptions {
 // A call-level `deadline_ms` bounds the whole retry loop: remaining budget shrinks each
 // attempt (and is what the server is told), and the loop returns DEADLINE_EXCEEDED rather
 // than start an attempt it cannot finish.
+//
+// Query and QueryBatch share one loop; a query is a batch of one. An item that exhausts
+// the policy (attempts, retry budget) resolves to its last outcome: the last retryable
+// envelope as-is, or the last transport/corruption failure. An expired call deadline
+// resolves it to DEADLINE_EXCEEDED.
 class ResilientClient {
  public:
   using ChannelFactory = std::function<Result<std::unique_ptr<Channel>>()>;
@@ -192,22 +188,27 @@ class ResilientClient {
   // A factory dialing 127.0.0.1:port with the given per-attempt timeout.
   static ChannelFactory TcpFactory(uint16_t port, double attempt_timeout_ms = 0.0);
 
-  // As ServeClient::Query, but retried per the policy above. `deadline_ms <= 0` means no
-  // call deadline (retries are then bounded only by max_attempts and the budget).
-  Result<ResponseEnvelope> Query(std::string_view kind, const Json& params,
-                                 double deadline_ms = 0.0, bool trace = false);
-
   // As ServeClient::QueryBatch, pipelined and retried: only unresolved items are re-sent
   // on retry, and with hedge_delay_ms > 0 a stalled primary races a hedge connection.
-  // Every item resolves to a definite envelope — items that exhaust the retry policy come
-  // back carrying the last transport/retryable status instead of an answer.
+  // The retry loop is bounded by the longest item deadline (unbounded if any item has
+  // none). Every item resolves to a definite envelope: a failure the policy could not
+  // retry away comes back as an envelope (id 0) carrying its status.
   Result<std::vector<ResponseEnvelope>> QueryBatch(
       const std::vector<ServeClient::BatchItem>& items);
+
+  // QueryBatch of one item, except that a transport/corruption failure or an expired call
+  // deadline comes back as a non-OK Result. `deadline_ms <= 0` means no call deadline
+  // (retries are then bounded only by max_attempts and the budget).
+  Result<ResponseEnvelope> Query(std::string_view kind, const Json& params,
+                                 double deadline_ms = 0.0, bool trace = false);
 
   uint64_t retries() const { return retries_; }
   uint64_t hedges() const { return hedges_; }
 
  private:
+  // The retry loop: each item's final outcome, in request order.
+  std::vector<Result<ResponseEnvelope>> Resolve(
+      const std::vector<ServeClient::BatchItem>& items);
   // Sleeps one jittered backoff step (clipped to the remaining deadline). Returns false
   // when the deadline or the retry budget is exhausted.
   bool BackoffBeforeRetry(double remaining_ms);

@@ -310,9 +310,8 @@ void QueryServer::Submit(std::string payload, std::function<void(std::string)> d
         // The engine reports cooperative cancellation as kCancelled; when the cancel came from
         // this request's own deadline, the client-facing code is DEADLINE_EXCEEDED.
         if (status.code() == StatusCode::kCancelled && deadline_armed && token->Cancelled()) {
-          status = DeadlineExceededError("deadline expired after " +
-                                         FormatDouble(envelope.deadline_ms) + " ms: " +
-                                         status.message());
+          status = DeadlineExceededError("deadline expired after " + FormatDouble(deadline_ms) +
+                                         " ms: " + status.message());
           if (deadline_counter_ != nullptr) deadline_counter_->Increment();
           if (cancel_latency_ms_ != nullptr) {
             // How long past its deadline the request took to actually come back — the

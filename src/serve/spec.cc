@@ -64,7 +64,14 @@ Status CheckFinite(double value, std::string_view field) {
   return Status::Ok();
 }
 
-// Builds a FaultCurve from its JSON spec (see the FaultSpec doc in spec.h).
+// An engine precondition's Status, worded like every other edge error.
+Status EdgeError(const Status& status) {
+  if (status.ok()) return status;
+  return InvalidArgumentError(std::string(kWhat) + ": " + status.message());
+}
+
+// Builds a FaultCurve from its JSON spec (see the FaultSpec doc in spec.h). The parameter
+// limits are the curve constructors' own Validate functions.
 Result<std::unique_ptr<FaultCurve>> CurveFromJson(const Json& curve) {
   if (!curve.IsObject()) {
     return InvalidArgumentError(std::string(kWhat) + ": \"curve\" must be an object");
@@ -82,19 +89,12 @@ Result<std::unique_ptr<FaultCurve>> CurveFromJson(const Json& curve) {
     RETURN_IF_ERROR(JsonReadDouble(curve, "window_probability", &window_probability, kWhat));
     RETURN_IF_ERROR(JsonReadDouble(curve, "window", &window, kWhat));
     if (window_probability >= 0.0) {
-      if (!(window_probability <= 1.0) || window <= 0.0) {
-        return InvalidArgumentError(std::string(kWhat) +
-                                    ": constant curve via window_probability requires "
-                                    "window_probability in [0, 1] and window > 0");
-      }
+      RETURN_IF_ERROR(
+          EdgeError(ConstantFaultCurve::ValidateWindowProbability(window_probability, window)));
       return std::unique_ptr<FaultCurve>(std::make_unique<ConstantFaultCurve>(
           ConstantFaultCurve::FromWindowProbability(window_probability, window)));
     }
-    if (!(rate >= 0.0) || !std::isfinite(rate)) {
-      return InvalidArgumentError(std::string(kWhat) +
-                                  ": constant curve requires \"rate\" >= 0 (or "
-                                  "\"window_probability\" + \"window\")");
-    }
+    RETURN_IF_ERROR(EdgeError(ConstantFaultCurve::Validate(rate)));
     return std::unique_ptr<FaultCurve>(std::make_unique<ConstantFaultCurve>(rate));
   }
   if (curve_kind == "weibull") {
@@ -102,10 +102,7 @@ Result<std::unique_ptr<FaultCurve>> CurveFromJson(const Json& curve) {
     double scale = 0.0;
     RETURN_IF_ERROR(JsonReadDouble(curve, "shape", &shape, kWhat));
     RETURN_IF_ERROR(JsonReadDouble(curve, "scale", &scale, kWhat));
-    if (!(shape > 0.0) || !(scale > 0.0)) {
-      return InvalidArgumentError(std::string(kWhat) +
-                                  ": weibull curve requires shape > 0 and scale > 0");
-    }
+    RETURN_IF_ERROR(EdgeError(WeibullFaultCurve::Validate(shape, scale)));
     return std::unique_ptr<FaultCurve>(std::make_unique<WeibullFaultCurve>(shape, scale));
   }
   if (curve_kind == "gompertz") {
@@ -113,11 +110,7 @@ Result<std::unique_ptr<FaultCurve>> CurveFromJson(const Json& curve) {
     double aging_rate = 0.0;
     RETURN_IF_ERROR(JsonReadDouble(curve, "base_rate", &base_rate, kWhat));
     RETURN_IF_ERROR(JsonReadDouble(curve, "aging_rate", &aging_rate, kWhat));
-    if (!(base_rate >= 0.0) || !std::isfinite(aging_rate)) {
-      return InvalidArgumentError(
-          std::string(kWhat) +
-          ": gompertz curve requires base_rate >= 0 and a finite aging_rate");
-    }
+    RETURN_IF_ERROR(EdgeError(GompertzFaultCurve::Validate(base_rate, aging_rate)));
     return std::unique_ptr<FaultCurve>(
         std::make_unique<GompertzFaultCurve>(base_rate, aging_rate));
   }
@@ -130,18 +123,25 @@ Result<std::unique_ptr<FaultCurve>> CurveFromJson(const Json& curve) {
     RETURN_IF_ERROR(JsonReadDouble(curve, "useful_life_rate", &useful_life_rate, kWhat));
     RETURN_IF_ERROR(JsonReadDouble(curve, "wearout_shape", &wearout_shape, kWhat));
     RETURN_IF_ERROR(JsonReadDouble(curve, "wearout_scale", &wearout_scale, kWhat));
-    if (!(infant_shape > 0.0) || !(infant_scale > 0.0) || !(useful_life_rate >= 0.0) ||
-        !(wearout_shape > 0.0) || !(wearout_scale > 0.0)) {
-      return InvalidArgumentError(
-          std::string(kWhat) +
-          ": bathtub curve requires infant_shape/infant_scale/wearout_shape/wearout_scale "
-          "> 0 and useful_life_rate >= 0");
-    }
+    RETURN_IF_ERROR(EdgeError(ValidateBathtubCurve(infant_shape, infant_scale, useful_life_rate,
+                                                   wearout_shape, wearout_scale)));
     return std::unique_ptr<FaultCurve>(std::make_unique<CompositeFaultCurve>(MakeBathtubCurve(
         infant_shape, infant_scale, useful_life_rate, wearout_shape, wearout_scale)));
   }
   return InvalidArgumentError(std::string(kWhat) + ": unknown curve kind \"" + curve_kind +
                               "\" (want constant, weibull, gompertz, or bathtub)");
+}
+
+// A curve's probability of failing during [age, age + window]. INVALID_ARGUMENT when the
+// cumulative hazard overflows there (FailureProbability is then NaN).
+Result<double> CurveWindowProbability(const FaultCurve& curve, double age, double window) {
+  const double p = curve.FailureProbability(age, age + window);
+  if (std::isnan(p)) {
+    return InvalidArgumentError(std::string(kWhat) +
+                                ": the curve's cumulative hazard overflows at age " +
+                                FormatDouble(age));
+  }
+  return p;
 }
 
 // Rejects a cluster larger than any joint model describes, before anything is sized by it.
@@ -239,10 +239,7 @@ Result<FleetParams> FleetFromJson(const Json* fleet_json, FleetProtocol protocol
   }
   RETURN_IF_ERROR(JsonReadDouble(*fleet_json, "repair_rate", &params.repair_rate, kWhat));
   RETURN_IF_ERROR(JsonReadInt(*fleet_json, "repair_servers", &params.repair_servers, kWhat));
-  Status valid = FleetModel::Validate(params, protocol, max_states);
-  if (!valid.ok()) {
-    return InvalidArgumentError(std::string(kWhat) + ": " + valid.message());
-  }
+  RETURN_IF_ERROR(EdgeError(FleetModel::Validate(params, protocol, max_states)));
   return params;
 }
 
@@ -337,21 +334,18 @@ Status ParseSchedule(const Json& schedule, int min_n, ServeRequest* request) {
       return InvalidArgumentError(std::string(kWhat) + ": schedule age must be >= 0");
     }
     for (int r = 0; r < rounds; ++r) {
-      const double start = age + r * request->round_hours;
-      const double p = (*curve)->FailureProbability(start, start + request->round_hours);
-      request->schedule_probabilities.push_back(
-          std::vector<double>(static_cast<size_t>(n), p));
+      Result<double> p =
+          CurveWindowProbability(**curve, age + r * request->round_hours, request->round_hours);
+      if (!p.ok()) return p.status();
+      request->schedule_probabilities.push_back(std::vector<double>(static_cast<size_t>(n), *p));
     }
   }
   if (static_cast<int>(request->schedule_probabilities.size()) > kMaxScheduleRounds) {
     return InvalidArgumentError(std::string(kWhat) + ": schedule is limited to " +
                                 std::to_string(kMaxScheduleRounds) + " rounds");
   }
-  Status valid = RoundSchedule::Validate(request->round_hours,
-                                         request->schedule_probabilities);
-  if (!valid.ok()) {
-    return InvalidArgumentError(std::string(kWhat) + ": " + valid.message());
-  }
+  RETURN_IF_ERROR(
+      EdgeError(RoundSchedule::Validate(request->round_hours, request->schedule_probabilities)));
   const int n = static_cast<int>(request->schedule_probabilities.front().size());
   if (n > kMaxConfigurationNodes || n < min_n) {
     return InvalidArgumentError(std::string(kWhat) + ": schedule requires " +
@@ -448,7 +442,9 @@ Result<FaultSpec> FaultSpec::FromJson(const Json* json, int default_n, double de
       if (!(age >= 0.0) || !std::isfinite(age)) {
         return InvalidArgumentError(std::string(kWhat) + ": node ages must be >= 0");
       }
-      spec.probabilities.push_back((*curve)->FailureProbability(age, age + window));
+      Result<double> p = CurveWindowProbability(**curve, age, window);
+      if (!p.ok()) return p.status();
+      spec.probabilities.push_back(*p);
     }
   } else {
     int n = default_n;

@@ -1,6 +1,7 @@
 #include "src/faultmodel/fault_curve.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -152,6 +153,33 @@ TEST(BathtubCurveTest, HasBathtubShape) {
   const double late = bathtub.HazardRate(80000.0);
   EXPECT_GT(early, middle);  // Infant mortality dominates early.
   EXPECT_GT(late, middle);   // Wear-out dominates late.
+}
+
+// The preconditions the constructors CHECK, as Status: what the serving edge calls first.
+TEST(CurvePreconditionTest, ValidateAcceptsWhatTheConstructorsBuildAndNothingElse) {
+  EXPECT_TRUE(ConstantFaultCurve::Validate(0.0).ok());
+  EXPECT_FALSE(ConstantFaultCurve::Validate(-1e-9).ok());
+  EXPECT_FALSE(ConstantFaultCurve::Validate(std::numeric_limits<double>::infinity()).ok());
+  EXPECT_TRUE(ConstantFaultCurve::ValidateWindowProbability(0.0, 24.0).ok());
+  EXPECT_FALSE(ConstantFaultCurve::ValidateWindowProbability(1.0, 24.0).ok());
+  EXPECT_FALSE(ConstantFaultCurve::ValidateWindowProbability(0.5, 0.0).ok());
+  EXPECT_TRUE(WeibullFaultCurve::Validate(0.7, 1000.0).ok());
+  EXPECT_FALSE(WeibullFaultCurve::Validate(0.0, 1000.0).ok());
+  EXPECT_FALSE(WeibullFaultCurve::Validate(0.7, 0.0).ok());
+  EXPECT_TRUE(GompertzFaultCurve::Validate(1e-5, -0.1).ok());
+  EXPECT_FALSE(GompertzFaultCurve::Validate(-1e-5, 0.1).ok());
+  EXPECT_TRUE(ValidateBathtubCurve(0.5, 100.0, 0.001, 3.0, 1000.0).ok());
+  EXPECT_FALSE(ValidateBathtubCurve(2.0, 100.0, 0.001, 3.0, 1000.0).ok());
+  EXPECT_FALSE(ValidateBathtubCurve(0.5, 100.0, 0.001, 0.9, 1000.0).ok());
+  EXPECT_FALSE(ValidateBathtubCurve(0.5, 100.0, -0.001, 3.0, 1000.0).ok());
+}
+
+// Both cumulative hazards overflow to infinity: the window probability is undefined, not 0.
+TEST(FaultCurveTest, OverflowingCumulativeHazardIsNotANeverFailingNode) {
+  const WeibullFaultCurve curve(1.0, 1e-300);
+  EXPECT_TRUE(std::isnan(curve.FailureProbability(1e10, 1e10 + 1.0)));
+  // Only the end of the window overflows: the node fails for certain.
+  EXPECT_EQ(curve.FailureProbability(0.0, 1.0), 1.0);
 }
 
 TEST(PiecewiseLinearTest, InterpolatesHazard) {

@@ -21,10 +21,30 @@
 namespace probcon::serve {
 namespace {
 
+// A fake that answers a batch one request at a time, in order; the first request it
+// cannot answer fails the whole exchange, as a broken connection would. A query is a batch
+// of one, so each call below is one request.
+class PerRequestChannel : public Channel {
+ public:
+  Result<std::vector<std::string>> RoundTripBatch(
+      const std::vector<std::string>& payloads) final {
+    std::vector<std::string> responses;
+    for (const std::string& payload : payloads) {
+      Result<std::string> response = Answer(payload);
+      if (!response.ok()) return response.status();
+      responses.push_back(*std::move(response));
+    }
+    return responses;
+  }
+
+ protected:
+  virtual Result<std::string> Answer(const std::string& payload) = 0;
+};
+
 // Answers every request with a scripted per-call status: entry i of `script` decides
 // call i (OK echoes a trivial result; other codes build an error envelope; kUnavailable
 // with `transport_error` fails the exchange itself instead). Off-script calls answer OK.
-class ScriptedChannel final : public Channel {
+class ScriptedChannel final : public PerRequestChannel {
  public:
   struct Step {
     StatusCode code = StatusCode::kOk;
@@ -34,7 +54,7 @@ class ScriptedChannel final : public Channel {
   ScriptedChannel(std::vector<Step> script, int* calls) : script_(std::move(script)),
                                                           calls_(calls) {}
 
-  Result<std::string> RoundTrip(const std::string& payload) override {
+  Result<std::string> Answer(const std::string& payload) override {
     const int call = (*calls_)++;
     const Step step = call < static_cast<int>(script_.size()) ? script_[call] : Step{};
     if (step.transport_error) {
@@ -60,12 +80,12 @@ class ScriptedChannel final : public Channel {
 // Answers call i with the handcrafted wire payload `payloads[i]` verbatim; off-script
 // calls echo a clean OK envelope for the request. The call counter is shared across
 // reconnects, so corruption scripts survive the client dialing a fresh channel.
-class RawChannel final : public Channel {
+class RawChannel final : public PerRequestChannel {
  public:
   RawChannel(std::vector<std::string> payloads, int* calls)
       : payloads_(std::move(payloads)), calls_(calls) {}
 
-  Result<std::string> RoundTrip(const std::string& request) override {
+  Result<std::string> Answer(const std::string& request) override {
     const int call = (*calls_)++;
     if (call < static_cast<int>(payloads_.size())) {
       return payloads_[call];
@@ -90,10 +110,10 @@ ResilientClient::ChannelFactory RawFactory(std::vector<std::string> payloads, in
 }
 
 // A channel whose exchange blocks for `stall_ms`, then fails — the hedging trigger.
-class StallingChannel final : public Channel {
+class StallingChannel final : public PerRequestChannel {
  public:
   explicit StallingChannel(double stall_ms) : stall_ms_(stall_ms) {}
-  Result<std::string> RoundTrip(const std::string&) override {
+  Result<std::string> Answer(const std::string&) override {
     std::this_thread::sleep_for(
         std::chrono::microseconds(static_cast<int64_t>(stall_ms_ * 1000.0)));
     return UnavailableError("stalled exchange gave up");

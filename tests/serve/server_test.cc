@@ -208,6 +208,24 @@ TEST(QueryServerTest, ValidationErrorsSurfaceAsInvalidArgument) {
       {"availability", R"({"protocol": "pbft", "reconfiguration": true, "fleet": {"classes": )"
                        R"([{"count": 2, "failure_rate": 1e-3, "new": false}, )"
                        R"({"count": 3, "failure_rate": 1e-3}], "repair_rate": 0.5}})"},
+      // Curves outside their constructors' preconditions.
+      {"table2", R"({"fault": {"curve": {"kind": "bathtub", "infant_shape": 2, )"
+                 R"("infant_scale": 100, "useful_life_rate": 0.001, "wearout_shape": 3, )"
+                 R"("wearout_scale": 1000}, "n": 5, "window": 24}})"},
+      {"table2", R"({"fault": {"curve": {"kind": "bathtub", "infant_shape": 0.5, )"
+                 R"("infant_scale": 100, "useful_life_rate": 0.001, "wearout_shape": 0.9, )"
+                 R"("wearout_scale": 1000}, "n": 5, "window": 24}})"},
+      {"table2", R"({"fault": {"curve": {"kind": "constant", "window_probability": 1.0, )"
+                 R"("window": 24}, "n": 5, "window": 24}})"},
+      // Curves whose cumulative hazard overflows at the requested ages.
+      {"table2", R"({"fault": {"curve": {"kind": "weibull", "shape": 1, "scale": 1e-300}, )"
+                 R"("n": 5, "window": 1, "age": 1e10}})"},
+      {"end_to_end", R"({"protocol": "raft", "fault": {"curve": {"kind": "gompertz", )"
+                     R"("base_rate": 1e300, "aging_rate": 1e300}, "n": 5, "window": 1, )"
+                     R"("age": 1}})"},
+      {"mission_reliability", R"({"protocol": "raft", "schedule": {"curve": {"kind": )"
+                              R"("weibull", "shape": 1, "scale": 1e-300}, "n": 5, )"
+                              R"("round_hours": 1, "rounds": 4, "age": 1e10}})"},
   };
   for (const auto& [kind, params] : requests) {
     auto response = client.Query(kind, Params(params));
@@ -343,6 +361,8 @@ TEST(QueryServerTest, DefaultDeadlineFromOptionsApplies) {
       Params(R"({"protocol": "raft", "fault": {"n": 5, "p": 0.01}, "trials": 1073741824})"));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(response->status.message().find("after 1 ms"), std::string::npos)
+      << response->status.message();
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ const std::set<std::string>& BlockingSeeds() {
       "join",        "sleep_for",   "sleep_until", "poll",           "epoll_wait",
       "select",      "accept",      "connect",     "recv",           "send",
       "Join",        "ParallelFor", "ParallelReduce", "RunTrials",   "TryRunOneTask",
-      "RoundTrip",   "RoundTripBatch",
+      "RoundTripBatch",
   };
   return kSeeds;
 }

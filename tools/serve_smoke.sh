@@ -12,7 +12,9 @@
 #   4. pipeline a --concurrency batch through one connection and require every response
 #      to come back, matched to a distinct request id, with the same result object,
 #   5. fire a 1 ms deadline at a 2^30-trial Monte Carlo request and require a prompt
-#      DEADLINE_EXCEEDED instead of a wedged server,
+#      DEADLINE_EXCEEDED instead of a wedged server; send invalid requests — among them a
+#      bathtub curve that once aborted the daemon — and require INVALID_ARGUMENT (exit 3)
+#      from a daemon that still answers ping,
 #   6. query the `stats` verb and require a parseable metrics snapshot whose cache-hit
 #      counter reflects the repeated query, whose per-reactor-shard connection gauges sum
 #      to the active-connection gauge, and a --trace request to echo its span breakdown,
@@ -164,8 +166,17 @@ echo "${DEADLINE_OUT}" | grep -q 'DEADLINE_EXCEEDED' \
 INVALID_EXIT=$?
 [ "${INVALID_EXIT}" = 3 ] || fail "invalid-argument query exit ${INVALID_EXIT}, want 3"
 
-# The daemon must still be healthy after the cancelled request.
-"${CLI}" --port "${PORT}" ping >/dev/null || fail "daemon unhealthy after deadline query"
+# A curve outside its constructor's preconditions (a bathtub whose infant shape is not
+# below 1) is INVALID_ARGUMENT too; it used to abort the daemon.
+"${CLI}" --port "${PORT}" table2 '{"fault": {"curve": {"kind": "bathtub", "infant_shape": 2,
+  "infant_scale": 100, "useful_life_rate": 0.001, "wearout_shape": 3, "wearout_scale": 1000},
+  "n": 5, "window": 24}}' >/dev/null 2>&1
+CURVE_EXIT=$?
+[ "${CURVE_EXIT}" = 3 ] || fail "invalid bathtub curve query exit ${CURVE_EXIT}, want 3"
+
+# The daemon must still be healthy after the cancelled and the rejected requests.
+"${CLI}" --port "${PORT}" ping >/dev/null \
+  || fail "daemon unhealthy after the deadline and invalid-argument queries"
 
 # The health verb reports the brownout state machine; a quiet daemon is ready.
 HEALTH="$("${CLI}" --port "${PORT}" health)" || fail "health query errored"

@@ -7,11 +7,22 @@
 
 namespace probcon {
 
+Status ValidateEndToEndParams(const EndToEndParams& params) {
+  if (!std::isfinite(params.window_hours) || !std::isfinite(params.mean_time_to_recover) ||
+      !std::isfinite(params.mission_hours) || !(params.window_hours > 0.0) ||
+      !(params.mean_time_to_recover >= 0.0) || !(params.mission_hours > 0.0)) {
+    return InvalidArgumentError(
+        "end_to_end requires finite window_hours > 0, mttr_hours >= 0, mission_hours > 0");
+  }
+  if (!(params.data_loss_given_violation >= 0.0 && params.data_loss_given_violation <= 1.0)) {
+    return InvalidArgumentError("data_loss_given_violation must lie in [0, 1]");
+  }
+  return Status::Ok();
+}
+
 EndToEndReport ComputeEndToEnd(const EndToEndParams& params) {
-  CHECK_GT(params.window_hours, 0.0);
-  CHECK_GE(params.mean_time_to_recover, 0.0);
-  CHECK(params.data_loss_given_violation >= 0.0 && params.data_loss_given_violation <= 1.0);
-  CHECK_GT(params.mission_hours, 0.0);
+  const Status valid = ValidateEndToEndParams(params);
+  CHECK(valid.ok()) << valid.ToString();
 
   EndToEndReport report;
 

@@ -15,6 +15,7 @@
 #define PROBCON_SRC_ANALYSIS_END_TO_END_H_
 
 #include "src/analysis/reliability.h"
+#include "src/common/status.h"
 #include "src/prob/probability.h"
 
 namespace probcon {
@@ -41,9 +42,13 @@ struct EndToEndReport {
   double outage_minutes_per_year = 0.0;
 };
 
+// The preconditions on `params`' scalars: finite window_hours > 0, mean_time_to_recover >= 0
+// and mission_hours > 0, and data_loss_given_violation in [0, 1].
+Status ValidateEndToEndParams(const EndToEndParams& params);
+
 // Derives application-level guarantees from consensus-level ones. Window failure
 // probabilities are converted to Poisson rates (valid for the small complements this
-// library deals in).
+// library deals in). CHECKs ValidateEndToEndParams.
 EndToEndReport ComputeEndToEnd(const EndToEndParams& params);
 
 }  // namespace probcon

@@ -1,6 +1,8 @@
 #include "src/analysis/placement.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/exec/parallel.h"
@@ -30,6 +32,24 @@ constexpr uint64_t kPlacementChunk = 64;
 
 }  // namespace
 
+Status ValidateRackPlacement(const std::vector<double>& node_base_probabilities,
+                             const std::vector<double>& rack_probabilities) {
+  const int n = static_cast<int>(node_base_probabilities.size());
+  const int racks = static_cast<int>(rack_probabilities.size());
+  if (n < 1 || n > kMaxPlacementNodes || racks < 1 || racks > kMaxPlacementRacks) {
+    return InvalidArgumentError("placement search requires 1 to " +
+                                std::to_string(kMaxPlacementNodes) + " nodes and 1 to " +
+                                std::to_string(kMaxPlacementRacks) + " racks");
+  }
+  const auto in_unit_interval = [](double p) { return p >= 0.0 && p <= 1.0; };  // NaN fails.
+  if (!std::all_of(node_base_probabilities.begin(), node_base_probabilities.end(),
+                   in_unit_interval) ||
+      !std::all_of(rack_probabilities.begin(), rack_probabilities.end(), in_unit_interval)) {
+    return InvalidArgumentError("placement probabilities must lie in [0, 1]");
+  }
+  return Status::Ok();
+}
+
 Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabilities,
                                   const std::vector<double>& rack_probabilities,
                                   const std::vector<int>& rack_of) {
@@ -41,13 +61,16 @@ Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabili
   return AnalyzeRaft(RaftConfig::Standard(n), analyzer).safe_and_live;
 }
 
-PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_probabilities,
-                                      const std::vector<double>& rack_probabilities) {
+Result<PlacementResult> TryOptimizeRackPlacement(
+    const std::vector<double>& node_base_probabilities,
+    const std::vector<double>& rack_probabilities, const CancelToken* cancel) {
+  const Status valid = ValidateRackPlacement(node_base_probabilities, rack_probabilities);
+  CHECK(valid.ok()) << valid.ToString();
+  if (IsCancelled(cancel)) {
+    return CancelledError("placement search cancelled before start");
+  }
   const int n = static_cast<int>(node_base_probabilities.size());
   const int racks = static_cast<int>(rack_probabilities.size());
-  CHECK(n >= 1 && n <= 10) << "exhaustive placement search limited to n <= 10";
-  CHECK(racks >= 1 && racks <= 5) << "exhaustive placement search limited to r <= 5";
-
   uint64_t total = 1;
   for (int i = 0; i < n; ++i) {
     total *= static_cast<uint64_t>(racks);
@@ -55,12 +78,14 @@ PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_proba
   // Chunked argmax over the r^n assignment space. Per-chunk winners keep the earliest
   // index among equals (strict > to replace), and chunks merge in ascending order with a
   // strict < comparison, so ties resolve to the lowest assignment index — exactly the
-  // assignment the sequential odometer found first.
+  // assignment the sequential odometer found first. Every assignment polls `cancel` first
+  // (one assignment is at most 2^kMaxPlacementNodes configurations, under one poll
+  // stride); a fired token ends each chunk early and the partial winner is discarded below.
   const BestAssignment best = ParallelReduce<BestAssignment>(
       0, total, kPlacementChunk, BestAssignment{},
       [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t /*chunk_index*/) {
         BestAssignment chunk_best;
-        for (uint64_t index = chunk_begin; index < chunk_end; ++index) {
+        for (uint64_t index = chunk_begin; index < chunk_end && !IsCancelled(cancel); ++index) {
           const Probability candidate = EvaluateRackPlacement(
               node_base_probabilities, rack_probabilities, DecodeAssignment(index, n, racks));
           if (!chunk_best.valid || chunk_best.safe_and_live < candidate) {
@@ -76,11 +101,22 @@ PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_proba
           acc = partial;
         }
       });
+  if (IsCancelled(cancel)) {
+    return CancelledError("placement search cancelled");
+  }
   CHECK(best.valid);
   PlacementResult result;
   result.rack_of = DecodeAssignment(best.index, n, racks);
   result.safe_and_live = best.safe_and_live;
   return result;
+}
+
+PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_probabilities,
+                                      const std::vector<double>& rack_probabilities) {
+  Result<PlacementResult> result =
+      TryOptimizeRackPlacement(node_base_probabilities, rack_probabilities);
+  CHECK(result.ok()) << result.status().ToString();
+  return *std::move(result);
 }
 
 }  // namespace probcon

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "src/analysis/reliability.h"
+#include "src/common/cancellation.h"
+#include "src/common/status.h"
 #include "src/prob/probability.h"
 
 namespace probcon {
@@ -22,13 +24,27 @@ struct PlacementResult {
   Probability safe_and_live;
 };
 
+// The exhaustive search's limits: r^n assignments, each a 2^n enumeration.
+inline constexpr int kMaxPlacementNodes = 10;
+inline constexpr int kMaxPlacementRacks = 5;
+
+// The search's preconditions: 1 to kMaxPlacementNodes nodes, 1 to kMaxPlacementRacks
+// racks, and every probability in [0, 1].
+Status ValidateRackPlacement(const std::vector<double>& node_base_probabilities,
+                             const std::vector<double>& rack_probabilities);
+
 // Evaluates standard-quorum Raft S&L for one assignment under a FailureDomainModel built
 // from `node_base_probabilities` and `rack_probabilities`.
 Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabilities,
                                   const std::vector<double>& rack_probabilities,
                                   const std::vector<int>& rack_of);
 
-// Exhaustive search over all rack assignments (r^n evaluations; n <= 10, r <= 5 enforced).
+// Exhaustive search over all r^n rack assignments; ties go to the lowest assignment index.
+// CHECKs ValidateRackPlacement. Polls `cancel` before each assignment and answers
+// kCancelled once it fires. The plain form CHECKs the cancellable one.
+Result<PlacementResult> TryOptimizeRackPlacement(
+    const std::vector<double>& node_base_probabilities,
+    const std::vector<double>& rack_probabilities, const CancelToken* cancel = nullptr);
 PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_probabilities,
                                       const std::vector<double>& rack_probabilities);
 

@@ -269,26 +269,67 @@ CountPredicate MakePbftSafeAndLivePredicate(PbftConfig config) {
   });
 }
 
-ReliabilityReport AnalyzeRaft(const RaftConfig& config, const ReliabilityAnalyzer& analyzer,
-                              AnalysisMethod method) {
+Result<ReliabilityReport> TryAnalyzeRaft(const RaftConfig& config,
+                                         const ReliabilityAnalyzer& analyzer,
+                                         AnalysisMethod method, const CancelToken* cancel,
+                                         std::atomic<uint64_t>* progress) {
   CHECK_EQ(config.n, analyzer.n());
   ReliabilityReport report;
   const bool structurally_safe = RaftIsSafeStructurally(config);
   report.safe = structurally_safe ? Probability::One() : Probability::Zero();
-  report.live = analyzer.EventProbability(MakeRaftLivePredicate(config), method);
+  Result<Probability> live =
+      analyzer.TryEventProbability(MakeRaftLivePredicate(config), method, cancel, progress);
+  if (!live.ok()) return live.status();
+  report.live = *live;
   report.safe_and_live = structurally_safe ? report.live : Probability::Zero();
+  return report;
+}
+
+ReliabilityReport AnalyzeRaft(const RaftConfig& config, const ReliabilityAnalyzer& analyzer,
+                              AnalysisMethod method) {
+  Result<ReliabilityReport> report = TryAnalyzeRaft(config, analyzer, method);
+  CHECK(report.ok()) << report.status().ToString();
+  return *report;
+}
+
+Result<ReliabilityReport> TryAnalyzePbft(const PbftConfig& config,
+                                         const ReliabilityAnalyzer& analyzer,
+                                         AnalysisMethod method, const CancelToken* cancel,
+                                         std::atomic<uint64_t>* progress) {
+  CHECK_EQ(config.n, analyzer.n());
+  ReliabilityReport report;
+  Result<Probability> safe =
+      analyzer.TryEventProbability(MakePbftSafePredicate(config), method, cancel, progress);
+  if (!safe.ok()) return safe.status();
+  Result<Probability> live =
+      analyzer.TryEventProbability(MakePbftLivePredicate(config), method, cancel, progress);
+  if (!live.ok()) return live.status();
+  Result<Probability> both = analyzer.TryEventProbability(MakePbftSafeAndLivePredicate(config),
+                                                          method, cancel, progress);
+  if (!both.ok()) return both.status();
+  report.safe = *safe;
+  report.live = *live;
+  report.safe_and_live = *both;
   return report;
 }
 
 ReliabilityReport AnalyzePbft(const PbftConfig& config, const ReliabilityAnalyzer& analyzer,
                               AnalysisMethod method) {
-  CHECK_EQ(config.n, analyzer.n());
-  ReliabilityReport report;
-  report.safe = analyzer.EventProbability(MakePbftSafePredicate(config), method);
-  report.live = analyzer.EventProbability(MakePbftLivePredicate(config), method);
-  report.safe_and_live =
-      analyzer.EventProbability(MakePbftSafeAndLivePredicate(config), method);
-  return report;
+  Result<ReliabilityReport> report = TryAnalyzePbft(config, analyzer, method);
+  CHECK(report.ok()) << report.status().ToString();
+  return *report;
+}
+
+Result<ConfidenceInterval> TryEstimateRaftLive(const RaftConfig& config,
+                                               const ReliabilityAnalyzer& analyzer,
+                                               const MonteCarloOptions& options) {
+  return analyzer.TryEstimateEventProbability(MakeRaftLivePredicate(config), options);
+}
+
+Result<ConfidenceInterval> TryEstimatePbftSafeAndLive(const PbftConfig& config,
+                                                      const ReliabilityAnalyzer& analyzer,
+                                                      const MonteCarloOptions& options) {
+  return analyzer.TryEstimateEventProbability(MakePbftSafeAndLivePredicate(config), options);
 }
 
 }  // namespace probcon

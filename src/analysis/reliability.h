@@ -173,14 +173,35 @@ struct ReliabilityReport {
 };
 
 // Theorem 3.2 applied to `model`. Safety is structural (probability 0 or 1); liveness and
-// safe&live come from the failure-count law.
+// safe&live come from the failure-count law. Every Raft report is built here: the plain
+// form CHECKs the cancellable one. `cancel` and `progress` act as in TryEventProbability.
+Result<ReliabilityReport> TryAnalyzeRaft(const RaftConfig& config,
+                                         const ReliabilityAnalyzer& analyzer,
+                                         AnalysisMethod method = AnalysisMethod::kAuto,
+                                         const CancelToken* cancel = nullptr,
+                                         std::atomic<uint64_t>* progress = nullptr);
 ReliabilityReport AnalyzeRaft(const RaftConfig& config, const ReliabilityAnalyzer& analyzer,
                               AnalysisMethod method = AnalysisMethod::kAuto);
 
 // Theorem 3.1 applied to `model`; failed nodes are treated as Byzantine (the paper's §3
-// convention for BFT analysis).
+// convention for BFT analysis). Safe, live and safe&live are evaluated in that order.
+Result<ReliabilityReport> TryAnalyzePbft(const PbftConfig& config,
+                                         const ReliabilityAnalyzer& analyzer,
+                                         AnalysisMethod method = AnalysisMethod::kAuto,
+                                         const CancelToken* cancel = nullptr,
+                                         std::atomic<uint64_t>* progress = nullptr);
 ReliabilityReport AnalyzePbft(const PbftConfig& config, const ReliabilityAnalyzer& analyzer,
                               AnalysisMethod method = AnalysisMethod::kAuto);
+
+// Monte Carlo estimates of each protocol's headline event, with a 95% Wilson interval:
+// Raft liveness (its safety is structural, so there is nothing to sample) and PBFT
+// safe&live.
+Result<ConfidenceInterval> TryEstimateRaftLive(const RaftConfig& config,
+                                               const ReliabilityAnalyzer& analyzer,
+                                               const MonteCarloOptions& options);
+Result<ConfidenceInterval> TryEstimatePbftSafeAndLive(const PbftConfig& config,
+                                                      const ReliabilityAnalyzer& analyzer,
+                                                      const MonteCarloOptions& options);
 
 // Predicate factories, exposed for custom sweeps and for the Monte Carlo cross-validation
 // benches.

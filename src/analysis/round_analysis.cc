@@ -27,56 +27,11 @@ std::vector<std::vector<double>> AccumulatedProbabilities(const RoundSchedule& s
   return accumulated;
 }
 
-// Evaluates one round's report for either protocol (overloads picked by config type). Raft
-// safety is structural; PBFT safety and both liveness laws come from the failure-count DP
-// over the round's vector.
-Result<ReliabilityReport> TryAnalyzeOneRound(const RaftConfig& config,
-                                             std::vector<double> probabilities,
-                                             AnalysisMethod method, const CancelToken* cancel) {
-  const ReliabilityAnalyzer analyzer =
-      ReliabilityAnalyzer::ForIndependentNodes(std::move(probabilities));
-  ReliabilityReport report;
-  const bool structurally_safe = RaftIsSafeStructurally(config);
-  report.safe = structurally_safe ? Probability::One() : Probability::Zero();
-  auto live = analyzer.TryEventProbability(MakeRaftLivePredicate(config), method, cancel);
-  if (!live.ok()) {
-    return live.status();
-  }
-  report.live = *live;
-  report.safe_and_live = structurally_safe ? report.live : Probability::Zero();
-  return report;
-}
-
-Result<ReliabilityReport> TryAnalyzeOneRound(const PbftConfig& config,
-                                             std::vector<double> probabilities,
-                                             AnalysisMethod method, const CancelToken* cancel) {
-  const ReliabilityAnalyzer analyzer =
-      ReliabilityAnalyzer::ForIndependentNodes(std::move(probabilities));
-  ReliabilityReport report;
-  auto safe = analyzer.TryEventProbability(MakePbftSafePredicate(config), method, cancel);
-  if (!safe.ok()) {
-    return safe.status();
-  }
-  auto live = analyzer.TryEventProbability(MakePbftLivePredicate(config), method, cancel);
-  if (!live.ok()) {
-    return live.status();
-  }
-  auto both =
-      analyzer.TryEventProbability(MakePbftSafeAndLivePredicate(config), method, cancel);
-  if (!both.ok()) {
-    return both.status();
-  }
-  report.safe = *safe;
-  report.live = *live;
-  report.safe_and_live = *both;
-  return report;
-}
-
-template <typename Config>
-Result<RoundAnalysis> TryAnalyzeRounds(const Config& config, const RoundSchedule& schedule,
-                                       AnalysisMethod method, const CancelToken* cancel,
-                                       std::atomic<uint64_t>* progress) {
-  CHECK_EQ(config.n, schedule.n());
+// Runs `analyze_round` (one round's failure probabilities -> its report) over both regimes
+// of every round and folds the per-round reports into the mission aggregates.
+template <typename AnalyzeRound>
+Result<RoundAnalysis> TryAnalyzeRounds(const RoundSchedule& schedule, const CancelToken* cancel,
+                                       const AnalyzeRound& analyze_round) {
   const std::vector<std::vector<double>> accumulated = AccumulatedProbabilities(schedule);
   RoundAnalysis analysis;
   analysis.per_round.reserve(static_cast<size_t>(schedule.rounds()));
@@ -88,12 +43,11 @@ Result<RoundAnalysis> TryAnalyzeRounds(const Config& config, const RoundSchedule
     if (IsCancelled(cancel)) {
       return CancelledError("round analysis cancelled");
     }
-    auto fresh = TryAnalyzeOneRound(config, schedule.RoundProbabilities(r), method, cancel);
+    Result<ReliabilityReport> fresh = analyze_round(schedule.RoundProbabilities(r));
     if (!fresh.ok()) {
       return fresh.status();
     }
-    auto fail_stop =
-        TryAnalyzeOneRound(config, accumulated[static_cast<size_t>(r)], method, cancel);
+    Result<ReliabilityReport> fail_stop = analyze_round(accumulated[static_cast<size_t>(r)]);
     if (!fail_stop.ok()) {
       return fail_stop.status();
     }
@@ -104,9 +58,6 @@ Result<RoundAnalysis> TryAnalyzeRounds(const Config& config, const RoundSchedule
     analysis.mission_safe_and_live = analysis.mission_safe_and_live.And(fresh->safe_and_live);
     analysis.per_round.push_back(*std::move(fresh));
     analysis.cumulative.push_back(*std::move(fail_stop));
-    if (progress != nullptr) {
-      progress->fetch_add(2, std::memory_order_relaxed);
-    }
   }
   return analysis;
 }
@@ -117,14 +68,20 @@ Result<RoundAnalysis> TryAnalyzeRaftRounds(const RaftConfig& config,
                                            const RoundSchedule& schedule,
                                            AnalysisMethod method, const CancelToken* cancel,
                                            std::atomic<uint64_t>* progress) {
-  return TryAnalyzeRounds(config, schedule, method, cancel, progress);
+  return TryAnalyzeRounds(schedule, cancel, [&](const std::vector<double>& probabilities) {
+    return TryAnalyzeRaft(config, ReliabilityAnalyzer::ForIndependentNodes(probabilities),
+                          method, cancel, progress);
+  });
 }
 
 Result<RoundAnalysis> TryAnalyzePbftRounds(const PbftConfig& config,
                                            const RoundSchedule& schedule,
                                            AnalysisMethod method, const CancelToken* cancel,
                                            std::atomic<uint64_t>* progress) {
-  return TryAnalyzeRounds(config, schedule, method, cancel, progress);
+  return TryAnalyzeRounds(schedule, cancel, [&](const std::vector<double>& probabilities) {
+    return TryAnalyzePbft(config, ReliabilityAnalyzer::ForIndependentNodes(probabilities),
+                          method, cancel, progress);
+  });
 }
 
 RoundAnalysis AnalyzeRaftRounds(const RaftConfig& config, const RoundSchedule& schedule,

@@ -46,9 +46,11 @@ struct RoundAnalysis {
   Probability mission_safe_and_live;
 };
 
-// Evaluates `config` against every round of `schedule` (config.n must equal schedule.n()).
-// Cancellable: polls between rounds and inside each round's evaluation; `progress`, when
-// non-null, accumulates evaluated rounds (two regimes per round).
+// Evaluates `config` against every round of `schedule` (config.n must equal schedule.n()),
+// each regime of each round through TryAnalyzeRaft / TryAnalyzePbft. Cancellable: polls
+// between rounds and inside each round's evaluation; `progress` is handed to every
+// evaluation, so it counts enumerated configurations exactly as TryEventProbability does
+// (none on the count-DP path).
 Result<RoundAnalysis> TryAnalyzeRaftRounds(const RaftConfig& config,
                                            const RoundSchedule& schedule,
                                            AnalysisMethod method = AnalysisMethod::kAuto,

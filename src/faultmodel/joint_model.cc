@@ -217,11 +217,21 @@ std::unique_ptr<JointFailureModel> FailureDomainModel::Clone() const {
 // ---------------------------------------------------------------------------
 // BetaBinomialFailureModel
 
+Status BetaBinomialFailureModel::Validate(int n, double alpha, double beta) {
+  if (n < 1 || n > kMaxConfigurationNodes) {
+    return InvalidArgumentError("beta_binomial model requires 1 <= n <= " +
+                                std::to_string(kMaxConfigurationNodes));
+  }
+  if (!(alpha > 0.0) || !(beta > 0.0) || !std::isfinite(alpha) || !std::isfinite(beta)) {
+    return InvalidArgumentError("beta_binomial model requires finite alpha > 0 and beta > 0");
+  }
+  return Status::Ok();
+}
+
 BetaBinomialFailureModel::BetaBinomialFailureModel(int n, double alpha, double beta)
     : n_(n), alpha_(alpha), beta_(beta) {
-  CHECK(n > 0 && n <= kMaxConfigurationNodes);
-  CHECK_GT(alpha, 0.0);
-  CHECK_GT(beta, 0.0);
+  const Status valid = Validate(n, alpha, beta);
+  CHECK(valid.ok()) << valid.ToString();
 }
 
 FailureConfiguration BetaBinomialFailureModel::Sample(Rng& rng) const {

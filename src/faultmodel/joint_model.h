@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/status.h"
 
 namespace probcon {
 
@@ -132,6 +133,9 @@ class FailureDomainModel final : public JointFailureModel {
 // is alpha/(alpha+beta) but failures are positively correlated.
 class BetaBinomialFailureModel final : public JointFailureModel {
  public:
+  // 1 <= n <= kMaxConfigurationNodes and finite alpha > 0, beta > 0. An infinite parameter
+  // would make SampleBeta return NaN, and a NaN failure level never fails a node.
+  static Status Validate(int n, double alpha, double beta);
   BetaBinomialFailureModel(int n, double alpha, double beta);
 
   int n() const override { return n_; }

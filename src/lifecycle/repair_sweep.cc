@@ -8,10 +8,18 @@
 
 namespace probcon {
 
+Status ValidateGeometricRepairRates(double min_rate, double max_rate, int points) {
+  if (!(min_rate > 0.0) || !(max_rate >= min_rate) || !std::isfinite(max_rate) ||
+      points < 1) {
+    return InvalidArgumentError(
+        "a repair-rate grid requires finite 0 < min_rate <= max_rate and points >= 1");
+  }
+  return Status::Ok();
+}
+
 std::vector<double> GeometricRepairRates(double min_rate, double max_rate, int points) {
-  CHECK_GT(min_rate, 0.0);
-  CHECK_GE(max_rate, min_rate);
-  CHECK_GT(points, 0);
+  const Status valid = ValidateGeometricRepairRates(min_rate, max_rate, points);
+  CHECK(valid.ok()) << valid.ToString();
   std::vector<double> rates;
   rates.reserve(static_cast<size_t>(points));
   if (points == 1) {
@@ -31,17 +39,29 @@ std::vector<double> GeometricRepairRates(double min_rate, double max_rate, int p
   return rates;
 }
 
+Status ValidateRepairRateSweep(const std::vector<double>& repair_rates,
+                               std::optional<double> target_availability) {
+  if (repair_rates.empty()) {
+    return InvalidArgumentError("a repair sweep requires at least one repair rate");
+  }
+  for (const double rate : repair_rates) {
+    if (!(rate > 0.0) || !std::isfinite(rate)) {
+      return InvalidArgumentError("repair rates must be positive and finite");
+    }
+  }
+  if (target_availability.has_value() &&
+      !(*target_availability > 0.0 && *target_availability < 1.0)) {
+    return InvalidArgumentError("target_availability must lie in (0, 1)");
+  }
+  return Status::Ok();
+}
+
 Result<RepairSweepResult> TryRepairRateSweep(const FleetParams& params, FleetProtocol protocol,
                                              const std::vector<double>& repair_rates,
                                              std::optional<double> target_availability,
                                              const CtmcSolveOptions& options) {
-  CHECK(!repair_rates.empty());
-  for (const double rate : repair_rates) {
-    CHECK(rate > 0.0 && std::isfinite(rate));
-  }
-  if (target_availability.has_value()) {
-    CHECK(*target_availability > 0.0 && *target_availability < 1.0);
-  }
+  const Status valid = ValidateRepairRateSweep(repair_rates, target_availability);
+  CHECK(valid.ok()) << valid.ToString();
   RepairSweepResult result;
   result.points.reserve(repair_rates.size());
   for (const double rate : repair_rates) {

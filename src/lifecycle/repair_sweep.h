@@ -31,11 +31,19 @@ struct RepairSweepResult {
   std::optional<double> first_rate_meeting_target;
 };
 
-// Geometric grid helper for the common "from mu_min to mu_max in N points" sweep.
+// The grid's preconditions: finite 0 < min_rate <= max_rate and points >= 1.
+Status ValidateGeometricRepairRates(double min_rate, double max_rate, int points);
+
+// Geometric grid helper for the common "from mu_min to mu_max in N points" sweep. CHECKs
+// ValidateGeometricRepairRates.
 std::vector<double> GeometricRepairRates(double min_rate, double max_rate, int points);
 
-// Solves `params`-with-each-rate under `protocol`. `repair_rates` must be positive and
-// finite; `target_availability`, when set, must lie in (0, 1).
+// The sweep's preconditions: at least one rate, every rate positive and finite, and a
+// `target_availability`, when set, in (0, 1).
+Status ValidateRepairRateSweep(const std::vector<double>& repair_rates,
+                               std::optional<double> target_availability);
+
+// Solves `params`-with-each-rate under `protocol`. CHECKs ValidateRepairRateSweep.
 Result<RepairSweepResult> TryRepairRateSweep(const FleetParams& params, FleetProtocol protocol,
                                              const std::vector<double>& repair_rates,
                                              std::optional<double> target_availability,

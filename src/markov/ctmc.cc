@@ -30,8 +30,6 @@ Matrix Ctmc::Generator() const {
   return q;
 }
 
-Result<Vector> Ctmc::SteadyState() const { return TrySteadyState({}); }
-
 Result<Vector> Ctmc::TrySteadyState(const CtmcSolveOptions& options) const {
   // Solve pi Q = 0 with normalization: replace the last column of Q^T's system with the
   // all-ones constraint.
@@ -90,11 +88,6 @@ std::vector<bool> Ctmc::ReachableTransientStates(int start,
   return reachable;
 }
 
-Result<double> Ctmc::MeanTimeToAbsorption(int start,
-                                          const std::vector<int>& absorbing) const {
-  return TryMeanTimeToAbsorption(start, absorbing, {});
-}
-
 Result<double> Ctmc::TryMeanTimeToAbsorption(int start, const std::vector<int>& absorbing,
                                              const CtmcSolveOptions& options) const {
   CHECK(start >= 0 && start < state_count_);
@@ -144,66 +137,6 @@ Result<double> Ctmc::TryMeanTimeToAbsorption(int start, const std::vector<int>& 
   return (*solved)[transient_index[start]];
 }
 
-Result<Vector> Ctmc::AbsorptionProbabilities(int start,
-                                             const std::vector<int>& absorbing) const {
-  CHECK(start >= 0 && start < state_count_);
-  CHECK(!absorbing.empty());
-  std::vector<int> absorbing_index(state_count_, -1);
-  for (size_t i = 0; i < absorbing.size(); ++i) {
-    CHECK(absorbing[i] >= 0 && absorbing[i] < state_count_);
-    absorbing_index[absorbing[i]] = static_cast<int>(i);
-  }
-  if (absorbing_index[start] >= 0) {
-    Vector result(absorbing.size(), 0.0);
-    result[absorbing_index[start]] = 1.0;
-    return result;
-  }
-  std::vector<bool> is_absorbing(state_count_, false);
-  for (const int s : absorbing) {
-    is_absorbing[s] = true;
-  }
-  const std::vector<bool> reachable = ReachableTransientStates(start, is_absorbing);
-  std::vector<int> transient_index(state_count_, -1);
-  std::vector<int> transient_states;
-  for (int s = 0; s < state_count_; ++s) {
-    if (absorbing_index[s] < 0 && reachable[s]) {
-      transient_index[s] = static_cast<int>(transient_states.size());
-      transient_states.push_back(s);
-    }
-  }
-  const size_t m = transient_states.size();
-  // For each absorbing target j: (-Q_TT) h = R[:, j] where R are transient->absorbing rates.
-  Matrix a(m, m);
-  Matrix r_block(m, absorbing.size());
-  for (const auto& t : transitions_) {
-    if (absorbing_index[t.from] >= 0 || !reachable[t.from]) {
-      continue;
-    }
-    const int r = transient_index[t.from];
-    a.At(r, r) += t.rate;
-    if (absorbing_index[t.to] >= 0) {
-      r_block.At(r, absorbing_index[t.to]) += t.rate;
-    } else {
-      a.At(r, transient_index[t.to]) -= t.rate;
-    }
-  }
-  auto lu = LuDecomposition::Factor(a);
-  if (!lu.ok()) {
-    return Status(StatusCode::kFailedPrecondition,
-                  "absorption is not certain from the start state");
-  }
-  Vector result(absorbing.size(), 0.0);
-  for (size_t j = 0; j < absorbing.size(); ++j) {
-    Vector rhs(m, 0.0);
-    for (size_t i = 0; i < m; ++i) {
-      rhs[i] = r_block.At(i, j);
-    }
-    const Vector h = lu->Solve(rhs);
-    result[j] = h[transient_index[start]];
-  }
-  return result;
-}
-
 Vector Ctmc::TransientDistribution(const Vector& initial, double t) const {
   auto result = TryTransientDistribution(initial, t, {});
   CHECK(result.ok());
@@ -225,7 +158,7 @@ Result<Vector> Ctmc::TryTransientDistribution(const Vector& initial, double t,
   if (uniform_rate == 0.0 || t == 0.0) {
     return initial;
   }
-  uniform_rate *= 1.02;  // Slack keeps the DTMC strictly substochastic on the diagonal.
+  uniform_rate *= kUniformizationSlack;
 
   // P = I + Q / uniform_rate; distribution = sum_k Poisson(uniform_rate * t; k) * initial P^k.
   Matrix p = Matrix::Identity(state_count_) + q.Scaled(1.0 / uniform_rate);
@@ -234,7 +167,7 @@ Result<Vector> Ctmc::TryTransientDistribution(const Vector& initial, double t,
   // Terms needed grows as Lambda*t + O(sqrt(Lambda*t)); beyond ~1e9 the solve would spin
   // for hours (and the old int cast of the bound overflowed). Refuse instead.
   constexpr double kMaxUniformizationTerms = 1e9;
-  const double term_bound = poisson_mean + 12.0 * std::sqrt(poisson_mean) + 50.0;
+  const double term_bound = UniformizationTermBound(poisson_mean);
   if (!(term_bound < kMaxUniformizationTerms)) {
     return Status(StatusCode::kFailedPrecondition,
                   "transient horizon too large for uniformization (rate * t over 1e9)");

@@ -3,15 +3,15 @@
 // to quantify metrics like MTTF, MTBF, and MTTDL").
 //
 // States are dense integers. Transitions carry rates (per unit time). Provided solvers:
-//   * SteadyState            pi Q = 0, sum(pi) = 1          (long-run state occupancy)
-//   * MeanTimeToAbsorption   (-Q_TT) t = 1 on transient set (expected hitting time)
-//   * AbsorptionProbabilities which absorbing state is hit first
-//   * TransientDistribution  e^{Qt} via uniformization      (probability at finite horizon)
+//   * TrySteadyState           pi Q = 0, sum(pi) = 1          (long-run state occupancy)
+//   * TryMeanTimeToAbsorption  (-Q_TT) t = 1 on transient set (expected hitting time)
+//   * TransientDistribution    e^{Qt} via uniformization      (probability at finite horizon)
 
 #ifndef PROBCON_SRC_MARKOV_CTMC_H_
 #define PROBCON_SRC_MARKOV_CTMC_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +35,17 @@ struct CtmcSolveOptions {
   std::atomic<uint64_t>* progress = nullptr;
 };
 
+// Uniformization runs at the largest exit rate times this slack, which keeps the DTMC
+// strictly substochastic on the diagonal.
+inline constexpr double kUniformizationSlack = 1.02;
+
+// The most Poisson terms a uniformization with mean `poisson_mean` (uniformization rate
+// times horizon) sums before its truncation error is below 1e-12. Edge callers bound a
+// request's cost with the same expression the solver loops to.
+inline double UniformizationTermBound(double poisson_mean) {
+  return poisson_mean + 12.0 * std::sqrt(poisson_mean) + 50.0;
+}
+
 class Ctmc {
  public:
   explicit Ctmc(int state_count);
@@ -48,34 +59,28 @@ class Ctmc {
   // Generator matrix Q (off-diagonal rates, diagonal = -row sum).
   Matrix Generator() const;
 
+  // The solvers are cancellable: identical math and bit-identical results while the token
+  // stays unset, kCancelled once it fires.
+
   // Long-run occupancy distribution. Fails if the chain is reducible in a way that makes the
   // balance system singular (e.g. it has absorbing states).
-  Result<Vector> SteadyState() const;
+  Result<Vector> TrySteadyState(const CtmcSolveOptions& options = {}) const;
 
   // Expected time to reach any state in `absorbing`, starting from `start`. States in
   // `absorbing` have their outgoing transitions ignored. Fails if absorption is not certain
   // from `start`.
-  Result<double> MeanTimeToAbsorption(int start, const std::vector<int>& absorbing) const;
-
-  // Probability that, starting from `start`, the chain is absorbed in each of `absorbing`
-  // (same order as given). Requires eventual absorption.
-  Result<Vector> AbsorptionProbabilities(int start, const std::vector<int>& absorbing) const;
+  Result<double> TryMeanTimeToAbsorption(int start, const std::vector<int>& absorbing,
+                                         const CtmcSolveOptions& options = {}) const;
 
   // Distribution at time `t` starting from `initial`, via uniformization with truncation
   // error below 1e-12. A chain with no transitions (or one whose reachable states all have
   // zero outgoing rate) has a degenerate uniformization rate; the distribution is then the
-  // initial one and is returned unchanged rather than dividing by zero.
-  Vector TransientDistribution(const Vector& initial, double t) const;
-
-  // Cancellable variants of the solvers above: identical math and bit-identical results
-  // while the token stays unset, kCancelled once it fires. TryTransientDistribution
-  // additionally rejects horizons whose uniformization would need more than ~1e9 Poisson
-  // terms (kFailedPrecondition) instead of looping for hours.
-  Result<Vector> TrySteadyState(const CtmcSolveOptions& options) const;
-  Result<double> TryMeanTimeToAbsorption(int start, const std::vector<int>& absorbing,
-                                         const CtmcSolveOptions& options) const;
+  // initial one and is returned unchanged rather than dividing by zero. Horizons whose
+  // uniformization would need 1e9 Poisson terms or more answer kFailedPrecondition instead
+  // of looping for hours. The plain form CHECKs the cancellable one.
   Result<Vector> TryTransientDistribution(const Vector& initial, double t,
                                           const CtmcSolveOptions& options) const;
+  Vector TransientDistribution(const Vector& initial, double t) const;
 
  private:
   struct Transition {

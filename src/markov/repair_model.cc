@@ -42,7 +42,7 @@ Result<double> ConsensusRepairModel::MeanTimeToUnavailability(int quorum_size) c
 Result<double> ConsensusRepairModel::MeanTimeToQuorumLoss(int loss_threshold) const {
   CHECK(loss_threshold >= 1 && loss_threshold <= params_.n);
   const Ctmc chain = BuildChain(loss_threshold);
-  return chain.MeanTimeToAbsorption(0, {loss_threshold});
+  return chain.TryMeanTimeToAbsorption(0, {loss_threshold});
 }
 
 Result<Probability> ConsensusRepairModel::SteadyStateAvailability(int quorum_size) const {
@@ -52,7 +52,7 @@ Result<Probability> ConsensusRepairModel::SteadyStateAvailability(int quorum_siz
     return Probability::Zero();
   }
   const Ctmc chain = BuildChain(/*absorb_at=*/-1);
-  auto steady = chain.SteadyState();
+  auto steady = chain.TrySteadyState();
   if (!steady.ok()) {
     return steady.status();
   }

@@ -34,72 +34,31 @@ Json ReportJson(const ReliabilityReport& report) {
   return object;
 }
 
-// The exact Theorem 3.1 report; table1 and end_to_end both serve it.
-Result<ReliabilityReport> ExactPbftReport(const ReliabilityAnalyzer& analyzer,
-                                          const PbftConfig& config, const CancelToken* cancel,
-                                          const EngineProgress& progress) {
-  ReliabilityReport report;
-  Result<Probability> safe = analyzer.TryEventProbability(MakePbftSafePredicate(config),
-                                                          AnalysisMethod::kAuto, cancel,
-                                                          progress.enum_configs);
-  if (!safe.ok()) return safe.status();
-  Result<Probability> live = analyzer.TryEventProbability(MakePbftLivePredicate(config),
-                                                          AnalysisMethod::kAuto, cancel,
-                                                          progress.enum_configs);
-  if (!live.ok()) return live.status();
-  Result<Probability> both = analyzer.TryEventProbability(
-      MakePbftSafeAndLivePredicate(config), AnalysisMethod::kAuto, cancel, progress.enum_configs);
-  if (!both.ok()) return both.status();
-  report.safe = *safe;
-  report.live = *live;
-  report.safe_and_live = *both;
-  return report;
+// The Theorem 3.1 (PBFT) or 3.2 (Raft) report of the request's fault spec under the standard
+// quorums; table1, table2 and end_to_end all serve it.
+Result<ReliabilityReport> StandardReport(bool pbft, const ServeRequest& request,
+                                         const CancelToken* cancel,
+                                         const EngineProgress& progress) {
+  const ReliabilityAnalyzer analyzer =
+      ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities);
+  const int n = request.fault.n();
+  return pbft ? TryAnalyzePbft(PbftConfig::Standard(n), analyzer, AnalysisMethod::kAuto, cancel,
+                               progress.enum_configs)
+              : TryAnalyzeRaft(RaftConfig::Standard(n), analyzer, AnalysisMethod::kAuto, cancel,
+                               progress.enum_configs);
 }
 
-// The exact Theorem 3.2 report; table2 and end_to_end both serve it.
-Result<ReliabilityReport> ExactRaftReport(const ReliabilityAnalyzer& analyzer,
-                                          const RaftConfig& config, const CancelToken* cancel,
-                                          const EngineProgress& progress) {
-  ReliabilityReport report;
-  const bool structurally_safe = RaftIsSafeStructurally(config);
-  report.safe = structurally_safe ? Probability::One() : Probability::Zero();
-  Result<Probability> live = analyzer.TryEventProbability(MakeRaftLivePredicate(config),
-                                                          AnalysisMethod::kAuto, cancel,
-                                                          progress.enum_configs);
-  if (!live.ok()) return live.status();
-  report.live = *live;
-  report.safe_and_live = structurally_safe ? report.live : Probability::Zero();
-  return report;
-}
-
-Result<Json> RunTable1(const ServeRequest& request, const CancelToken* cancel,
-                       const EngineProgress& progress) {
-  const PbftConfig config = PbftConfig::Standard(request.fault.n());
-  Result<ReliabilityReport> report = ExactPbftReport(
-      ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities), config, cancel,
-      progress);
+// table1 (PBFT) and table2 (Raft): one report row.
+Result<Json> RunTable(bool pbft, const ServeRequest& request, const CancelToken* cancel,
+                      const EngineProgress& progress) {
+  Result<ReliabilityReport> report = StandardReport(pbft, request, cancel, progress);
   if (!report.ok()) return report.status();
-
+  const int n = request.fault.n();
   Json result = Json::Object();
-  result.Set("protocol", Json::String("pbft"));
-  result.Set("n", Json::Number(request.fault.n()));
-  result.Set("config", Json::String(config.Describe()));
-  result.Set("report", ReportJson(*report));
-  return result;
-}
-
-Result<Json> RunTable2(const ServeRequest& request, const CancelToken* cancel,
-                       const EngineProgress& progress) {
-  const RaftConfig config = RaftConfig::Standard(request.fault.n());
-  Result<ReliabilityReport> report = ExactRaftReport(
-      ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities), config, cancel,
-      progress);
-  if (!report.ok()) return report.status();
-
-  Json result = Json::Object();
-  result.Set("protocol", Json::String("raft"));
-  result.Set("n", Json::Number(request.fault.n()));
-  result.Set("config", Json::String(config.Describe()));
+  result.Set("protocol", Json::String(pbft ? "pbft" : "raft"));
+  result.Set("n", Json::Number(n));
+  result.Set("config", Json::String(pbft ? PbftConfig::Standard(n).Describe()
+                                         : RaftConfig::Standard(n).Describe()));
   result.Set("report", ReportJson(*report));
   return result;
 }
@@ -142,38 +101,27 @@ Result<Json> RunQuorumSize(const ServeRequest& request, const CancelToken* cance
 }
 
 Result<Json> RunPlacement(const ServeRequest& request, const CancelToken* cancel) {
-  if (IsCancelled(cancel)) {
-    return CancelledError("placement search cancelled before start");
-  }
-  const PlacementResult placement =
-      OptimizeRackPlacement(request.node_probabilities, request.rack_probabilities);
+  Result<PlacementResult> placement =
+      TryOptimizeRackPlacement(request.node_probabilities, request.rack_probabilities, cancel);
+  if (!placement.ok()) return placement.status();
   Json result = Json::Object();
   Json rack_of = Json::Array();
-  for (int rack : placement.rack_of) {
+  for (int rack : placement->rack_of) {
     rack_of.Append(Json::Number(rack));
   }
   result.Set("rack_of", std::move(rack_of));
-  result.Set("safe_and_live", Json::String(FormatPercent(placement.safe_and_live)));
-  result.Set("failure_probability", Json::Number(placement.safe_and_live.complement()));
+  result.Set("safe_and_live", Json::String(FormatPercent(placement->safe_and_live)));
+  result.Set("failure_probability", Json::Number(placement->safe_and_live.complement()));
   return result;
 }
 
 Result<Json> RunEndToEnd(const ServeRequest& request, const CancelToken* cancel,
                          const EngineProgress& progress) {
-  const ReliabilityAnalyzer analyzer =
-      ReliabilityAnalyzer::ForIndependentNodes(request.fault.probabilities);
-  const int n = request.fault.n();
   Result<ReliabilityReport> consensus =
-      request.protocol == "raft"
-          ? ExactRaftReport(analyzer, RaftConfig::Standard(n), cancel, progress)
-          : ExactPbftReport(analyzer, PbftConfig::Standard(n), cancel, progress);
+      StandardReport(request.protocol == "pbft", request, cancel, progress);
   if (!consensus.ok()) return consensus.status();
-  EndToEndParams params;
+  EndToEndParams params = request.end_to_end;
   params.consensus = *consensus;
-  params.window_hours = request.window_hours;
-  params.mean_time_to_recover = request.mttr_hours;
-  params.data_loss_given_violation = request.data_loss_given_violation;
-  params.mission_hours = request.mission_hours;
   const EndToEndReport report = ComputeEndToEnd(params);
 
   Json result = Json::Object();
@@ -216,10 +164,8 @@ Result<Json> RunMonteCarlo(const ServeRequest& request, const CancelToken* cance
   result.Set("seed", Json::Number(request.seed));
   Result<ConfidenceInterval> estimate =
       request.protocol == "raft"
-          ? analyzer.TryEstimateEventProbability(
-                MakeRaftLivePredicate(RaftConfig::Standard(n)), options)
-          : analyzer.TryEstimateEventProbability(
-                MakePbftSafeAndLivePredicate(PbftConfig::Standard(n)), options);
+          ? TryEstimateRaftLive(RaftConfig::Standard(n), analyzer, options)
+          : TryEstimatePbftSafeAndLive(PbftConfig::Standard(n), analyzer, options);
   if (!estimate.ok()) return estimate.status();
   result.Set("event", Json::String(request.protocol == "raft" ? "live" : "safe_and_live"));
   Json interval = Json::Object();
@@ -382,9 +328,9 @@ Result<Json> ExecuteRequest(const ServeRequest& request, const CancelToken* canc
       return result;
     }
     case RequestKind::kTable1:
-      return RunTable1(request, cancel, progress);
+      return RunTable(/*pbft=*/true, request, cancel, progress);
     case RequestKind::kTable2:
-      return RunTable2(request, cancel, progress);
+      return RunTable(/*pbft=*/false, request, cancel, progress);
     case RequestKind::kQuorumSize:
       return RunQuorumSize(request, cancel);
     case RequestKind::kPlacement:

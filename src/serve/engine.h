@@ -1,10 +1,11 @@
 // The serve-side execution engine: maps one parsed ServeRequest onto the toolkit's
 // analysis entry points and renders the answer as a JSON result object.
 //
-// This layer owns the "byte-identical to the offline tools" guarantee: table cells go
-// through the same AnalyzeRaft/AnalyzePbft + FormatPercent pipeline the regression-locked
-// tables use, and numeric fields are serialized with the shared shortest-round-trip
-// FormatDouble, so a served answer can be diffed against tool output directly.
+// This layer owns the "byte-identical to the offline tools" guarantee: table cells come
+// from the same TryAnalyzeRaft/TryAnalyzePbft reports (reliability.h) and FormatPercent the
+// regression-locked tables use, and numeric fields are serialized with the shared
+// shortest-round-trip FormatDouble, so a served answer can be diffed against tool output
+// directly.
 //
 // Everything here is synchronous and deterministic; the cancel token is the only channel
 // by which the outside world (deadline watchdog, shutdown) can interrupt a computation.

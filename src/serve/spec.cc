@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 
+#include "src/analysis/placement.h"
 #include "src/analysis/protocol_spec.h"
 #include "src/faultmodel/fault_curve.h"
 #include "src/faultmodel/joint_model.h"
 #include "src/faultmodel/round_schedule.h"
 #include "src/lifecycle/fleet_model.h"
 #include "src/lifecycle/repair_sweep.h"
+#include "src/markov/ctmc.h"
 
 namespace probcon::serve {
 namespace {
@@ -23,20 +26,18 @@ constexpr std::string_view kKindNames[kRequestKindCount] = {
     "availability", "mission_reliability", "repair_sweep",
 };
 
-// Caps that keep a single request's cost bounded. The engine CHECKs sit deeper (exact
-// enumeration n <= 25, placement n <= 10 / r <= 5); these edge limits are at or below
-// every engine precondition so malformed input degrades to INVALID_ARGUMENT, never a
-// crash. Clusters are capped at kMaxConfigurationNodes (joint_model.h), the width of the
-// failure bitmask every joint model CHECKs.
-constexpr int kMaxPlacementNodes = 10;      // OptimizeRackPlacement precondition.
-constexpr int kMaxPlacementRacks = 5;       // OptimizeRackPlacement precondition.
+// Engine preconditions are not written here: each engine states its own as a Validate…()
+// function that its CHECK calls too, and FromParams returns that Status through EdgeError,
+// so malformed input degrades to INVALID_ARGUMENT, never a crash. Clusters are capped at
+// kMaxConfigurationNodes (joint_model.h), the width of the failure bitmask every joint
+// model CHECKs. The caps below are serving policy only: they bound one request's cost.
 constexpr uint64_t kMaxTrials = 1u << 30;   // ~1e9 Monte Carlo trials per request.
 
 // Fleet-lifecycle caps. The direct CTMC solvers are O(m^3) in the lumped state count m, so
 // a single availability request is held to m <= 1024 (~1e9 flops, about a second) and a
 // repair sweep — up to kMaxSweepPoints solves — to m <= 256. Uniformization costs
-// terms * m^2 with terms ~ Lambda * 1.02 * t; the product is bounded below at parse time so
-// no admissible request can pin an engine thread for more than a few seconds.
+// terms * m^2 (terms from ctmc.h's UniformizationTermBound); the product is bounded below at
+// parse time so no admissible request can pin an engine thread for more than a few seconds.
 constexpr int kMaxFleetClasses = 8;
 constexpr int kMaxFleetClassCount = 100;     // nodes per vintage class
 constexpr int kMaxFleetStatesServe = 1024;   // availability / mission_reliability
@@ -52,14 +53,6 @@ Status CheckProbabilities(const std::vector<double>& probabilities, std::string_
       return InvalidArgumentError(std::string(kWhat) + ": " + std::string(field) +
                                   " entries must lie in [0, 1], got " + FormatDouble(p));
     }
-  }
-  return Status::Ok();
-}
-
-Status CheckFinite(double value, std::string_view field) {
-  if (!std::isfinite(value)) {
-    return InvalidArgumentError(std::string(kWhat) + ": " + std::string(field) +
-                                " must be finite");
   }
   return Status::Ok();
 }
@@ -251,6 +244,13 @@ int FleetTotalNodes(const FleetParams& params) {
   return total;
 }
 
+// Rejects a sweep of more rates than one request may solve.
+Status CheckSweepPoints(size_t points) {
+  if (points <= static_cast<size_t>(kMaxSweepPoints)) return Status::Ok();
+  return InvalidArgumentError(std::string(kWhat) + ": repair_sweep is limited to " +
+                              std::to_string(kMaxSweepPoints) + " rates");
+}
+
 // Rejects mission horizons whose uniformization would blow the per-request flop budget.
 // The uniformization rate is bounded by the total failure rate plus the repair pool rate,
 // so the bound is computable at the edge — INVALID_ARGUMENT here, never a multi-minute
@@ -263,8 +263,7 @@ Status CheckUniformizationBudget(const FleetParams& params, double mission_hours
     states *= cls.count + 1;
   }
   exit_rate += std::min(FleetTotalNodes(params), params.repair_servers) * params.repair_rate;
-  const double poisson_mean = 1.02 * exit_rate * mission_hours;
-  const double terms = poisson_mean + 12.0 * std::sqrt(poisson_mean) + 50.0;
+  const double terms = UniformizationTermBound(kUniformizationSlack * exit_rate * mission_hours);
   if (terms * states * states > kMaxUniformizationCost) {
     return InvalidArgumentError(
         std::string(kWhat) +
@@ -505,12 +504,9 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
                                     ") disagrees with the fault spec (" +
                                     std::to_string(request.fault.n()) + " nodes)");
       }
-      const int min_n = kind == RequestKind::kTable1 ? kPbftMinNodes : 3;
-      if (request.fault.n() < min_n) {
-        return InvalidArgumentError(std::string(kWhat) + ": " +
-                                    std::string(RequestKindName(kind)) + " requires n >= " +
-                                    std::to_string(min_n));
-      }
+      RETURN_IF_ERROR(CheckMinNodes(RequestKindName(kind),
+                                    kind == RequestKind::kTable1 ? "pbft" : "raft",
+                                    request.fault.n()));
       return request;
     }
 
@@ -540,19 +536,8 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
                                          &request.node_probabilities, kWhat));
       RETURN_IF_ERROR(JsonReadDoubleList(params, "rack_probabilities",
                                          &request.rack_probabilities, kWhat));
-      if (request.node_probabilities.empty() || request.rack_probabilities.empty()) {
-        return InvalidArgumentError(
-            std::string(kWhat) +
-            ": placement requires \"node_probabilities\" and \"rack_probabilities\"");
-      }
-      RETURN_IF_ERROR(CheckProbabilities(request.node_probabilities, "node_probabilities"));
-      RETURN_IF_ERROR(CheckProbabilities(request.rack_probabilities, "rack_probabilities"));
-      if (static_cast<int>(request.node_probabilities.size()) > kMaxPlacementNodes ||
-          static_cast<int>(request.rack_probabilities.size()) > kMaxPlacementRacks) {
-        return InvalidArgumentError(std::string(kWhat) + ": placement search is limited to " +
-                                    std::to_string(kMaxPlacementNodes) + " nodes and " +
-                                    std::to_string(kMaxPlacementRacks) + " racks");
-      }
+      RETURN_IF_ERROR(EdgeError(
+          ValidateRackPlacement(request.node_probabilities, request.rack_probabilities)));
       return request;
     }
 
@@ -566,25 +551,14 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
       if (!fault.ok()) return fault.status();
       request.fault = *std::move(fault);
       RETURN_IF_ERROR(CheckMinNodes("end_to_end", request.protocol, request.fault.n()));
-      RETURN_IF_ERROR(JsonReadDouble(params, "window_hours", &request.window_hours, kWhat));
-      RETURN_IF_ERROR(JsonReadDouble(params, "mttr_hours", &request.mttr_hours, kWhat));
+      EndToEndParams& end_to_end = request.end_to_end;
+      RETURN_IF_ERROR(JsonReadDouble(params, "window_hours", &end_to_end.window_hours, kWhat));
+      RETURN_IF_ERROR(
+          JsonReadDouble(params, "mttr_hours", &end_to_end.mean_time_to_recover, kWhat));
       RETURN_IF_ERROR(JsonReadDouble(params, "data_loss_given_violation",
-                                     &request.data_loss_given_violation, kWhat));
-      RETURN_IF_ERROR(JsonReadDouble(params, "mission_hours", &request.mission_hours, kWhat));
-      RETURN_IF_ERROR(CheckFinite(request.window_hours, "window_hours"));
-      RETURN_IF_ERROR(CheckFinite(request.mttr_hours, "mttr_hours"));
-      RETURN_IF_ERROR(CheckFinite(request.mission_hours, "mission_hours"));
-      if (!(request.window_hours > 0.0) || !(request.mttr_hours >= 0.0) ||
-          !(request.mission_hours > 0.0)) {
-        return InvalidArgumentError(
-            std::string(kWhat) +
-            ": end_to_end requires window_hours > 0, mttr_hours >= 0, mission_hours > 0");
-      }
-      if (!(request.data_loss_given_violation >= 0.0 &&
-            request.data_loss_given_violation <= 1.0)) {
-        return InvalidArgumentError(std::string(kWhat) +
-                                    ": data_loss_given_violation must lie in [0, 1]");
-      }
+                                     &end_to_end.data_loss_given_violation, kWhat));
+      RETURN_IF_ERROR(JsonReadDouble(params, "mission_hours", &end_to_end.mission_hours, kWhat));
+      RETURN_IF_ERROR(EdgeError(ValidateEndToEndParams(end_to_end)));
       return request;
     }
 
@@ -613,15 +587,8 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
         RETURN_IF_ERROR(JsonReadDouble(*model, "beta", &request.beta, kWhat));
         RETURN_IF_ERROR(
             CheckMinNodes("beta_binomial model", request.protocol, request.beta_n));
-        if (request.beta_n > kMaxConfigurationNodes) {
-          return InvalidArgumentError(std::string(kWhat) +
-                                      ": beta_binomial model requires n <= " +
-                                      std::to_string(kMaxConfigurationNodes));
-        }
-        if (!(request.alpha > 0.0) || !(request.beta > 0.0)) {
-          return InvalidArgumentError(std::string(kWhat) +
-                                      ": beta_binomial model requires alpha > 0, beta > 0");
-        }
+        RETURN_IF_ERROR(EdgeError(
+            BetaBinomialFailureModel::Validate(request.beta_n, request.alpha, request.beta)));
       } else {
         return InvalidArgumentError(std::string(kWhat) + ": unknown model kind \"" +
                                     model_kind +
@@ -685,7 +652,6 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
       if (!fleet.ok()) return fleet.status();
       request.fleet = *std::move(fleet);
       RETURN_IF_ERROR(JsonReadDouble(params, "mission_hours", &request.mission_hours, kWhat));
-      RETURN_IF_ERROR(CheckFinite(request.mission_hours, "mission_hours"));
       if (!(request.mission_hours > 0.0) || request.mission_hours > kMaxMissionHours) {
         return InvalidArgumentError(std::string(kWhat) +
                                     ": mission_hours must lie in (0, " +
@@ -725,34 +691,16 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
         RETURN_IF_ERROR(JsonReadDouble(params, "min_rate", &min_rate, kWhat));
         RETURN_IF_ERROR(JsonReadDouble(params, "max_rate", &max_rate, kWhat));
         RETURN_IF_ERROR(JsonReadInt(params, "points", &points, kWhat));
-        if (!(min_rate > 0.0) || !std::isfinite(min_rate) || !(max_rate >= min_rate) ||
-            !std::isfinite(max_rate) || points < 1 || points > kMaxSweepPoints) {
-          return InvalidArgumentError(
-              std::string(kWhat) +
-              ": repair_sweep requires \"repair_rates\" or a grid with 0 < min_rate <= "
-              "max_rate and 1 <= points <= " +
-              std::to_string(kMaxSweepPoints));
-        }
+        RETURN_IF_ERROR(EdgeError(ValidateGeometricRepairRates(min_rate, max_rate, points)));
+        RETURN_IF_ERROR(CheckSweepPoints(points));
         request.sweep_repair_rates = GeometricRepairRates(min_rate, max_rate, points);
       }
-      if (static_cast<int>(request.sweep_repair_rates.size()) > kMaxSweepPoints) {
-        return InvalidArgumentError(std::string(kWhat) + ": repair_sweep is limited to " +
-                                    std::to_string(kMaxSweepPoints) + " rates");
-      }
-      for (double rate : request.sweep_repair_rates) {
-        if (!(rate > 0.0) || !std::isfinite(rate)) {
-          return InvalidArgumentError(std::string(kWhat) +
-                                      ": repair rates must be positive and finite");
-        }
-      }
+      RETURN_IF_ERROR(CheckSweepPoints(request.sweep_repair_rates.size()));
       RETURN_IF_ERROR(JsonReadDouble(params, "target_availability",
                                      &request.sweep_target_availability, kWhat));
-      if (request.sweep_target_availability != 0.0 &&
-          (!(request.sweep_target_availability > 0.0) ||
-           !(request.sweep_target_availability < 1.0))) {
-        return InvalidArgumentError(std::string(kWhat) +
-                                    ": target_availability must lie in (0, 1)");
-      }
+      std::optional<double> target;
+      if (request.sweep_target_availability != 0.0) target = request.sweep_target_availability;
+      RETURN_IF_ERROR(EdgeError(ValidateRepairRateSweep(request.sweep_repair_rates, target)));
       return request;
     }
   }
@@ -787,10 +735,10 @@ Json ServeRequest::CanonicalParams() const {
     case RequestKind::kEndToEnd:
       object.Set("protocol", Json::String(protocol));
       object.Set("fault", fault.ToCanonicalJson());
-      object.Set("window_hours", Json::Number(window_hours));
-      object.Set("mttr_hours", Json::Number(mttr_hours));
-      object.Set("data_loss_given_violation", Json::Number(data_loss_given_violation));
-      object.Set("mission_hours", Json::Number(mission_hours));
+      object.Set("window_hours", Json::Number(end_to_end.window_hours));
+      object.Set("mttr_hours", Json::Number(end_to_end.mean_time_to_recover));
+      object.Set("data_loss_given_violation", Json::Number(end_to_end.data_loss_given_violation));
+      object.Set("mission_hours", Json::Number(end_to_end.mission_hours));
       break;
     case RequestKind::kMonteCarlo: {
       object.Set("protocol", Json::String(protocol));

@@ -4,8 +4,9 @@
 // does three jobs:
 //
 //   1. Validation — every engine precondition (n ranges, probability ranges, placement
-//      search-space caps) is checked at the edge and surfaces as INVALID_ARGUMENT, so no
-//      client input can reach a CHECK inside an engine.
+//      search-space caps) is checked at the edge by the engine's own Validate…() function
+//      and surfaces as INVALID_ARGUMENT, so no client input can reach a CHECK inside an
+//      engine.
 //   2. Fault-curve resolution — parameters accept per-node probabilities directly OR a
 //      fault-curve spec from src/faultmodel (constant / weibull / gompertz / bathtub plus
 //      node ages and an analysis window), which is resolved to window failure
@@ -24,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/analysis/end_to_end.h"
 #include "src/common/json.h"
 #include "src/common/status.h"
 #include "src/lifecycle/fleet_model.h"
@@ -101,10 +103,10 @@ struct ServeRequest {
   std::vector<double> node_probabilities;  // placement
   std::vector<double> rack_probabilities;  // placement
 
-  double window_hours = 24.0;               // end_to_end
-  double mttr_hours = 1.0;                  // end_to_end
-  double data_loss_given_violation = 1.0;   // end_to_end
-  double mission_hours = 8766.0;            // end_to_end
+  // end_to_end: "window_hours", "mttr_hours" (mean_time_to_recover),
+  // "data_loss_given_violation" and "mission_hours"; the engine fills in the consensus report.
+  EndToEndParams end_to_end{.consensus = {}, .window_hours = 24.0, .mean_time_to_recover = 1.0};
+  double mission_hours = 8766.0;            // mission_reliability (fleet mode)
 
   bool beta_binomial = false;  // montecarlo: beta-binomial instead of independent model
   int beta_n = 0;              // montecarlo (beta_binomial)

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
+#include "src/analysis/placement.h"
 #include "src/analysis/reliability.h"
 #include "src/common/cancellation.h"
 
@@ -64,6 +66,32 @@ TEST(Cancellation, MidFlightCancelStopsALongMonteCarloRun) {
   EXPECT_TRUE(finished.load());
 }
 
+TEST(Cancellation, PreFiredTokenCancelsPlacementSearch) {
+  CancelToken token;
+  token.Cancel();
+  const auto result = TryOptimizeRackPlacement(std::vector<double>(10, 0.01),
+                                               std::vector<double>(5, 0.001), &token);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+}
+
+TEST(Cancellation, MidFlightCancelStopsALongPlacementSearch) {
+  // The largest admitted search: 5^10 assignments, each a 2^10 enumeration nested inside
+  // the search's own ParallelReduce — far too long to finish if the token were ignored.
+  CancelToken token;
+  std::atomic<bool> finished{false};
+  std::thread runner([&] {
+    const auto result = TryOptimizeRackPlacement(std::vector<double>(10, 0.01),
+                                                 std::vector<double>(5, 0.001), &token);
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+    finished.store(true);
+  });
+  token.Cancel();
+  runner.join();
+  EXPECT_TRUE(finished.load());
+}
+
 TEST(Cancellation, UncancelledTryApisMatchThePlainApisBitForBit) {
   // The cancellation seam must not perturb results: with no token (or an unfired one) the
   // Try* variants perform exactly the same work in the same order.
@@ -93,6 +121,31 @@ TEST(Cancellation, UncancelledTryApisMatchThePlainApisBitForBit) {
   EXPECT_EQ(tracked_estimate->point, plain_estimate.point);
   EXPECT_EQ(tracked_estimate->low, plain_estimate.low);
   EXPECT_EQ(tracked_estimate->high, plain_estimate.high);
+
+  const ReliabilityReport plain_pbft = AnalyzePbft(config, analyzer);
+  const auto tracked_pbft = TryAnalyzePbft(config, analyzer, AnalysisMethod::kAuto, &unfired);
+  ASSERT_TRUE(tracked_pbft.ok());
+  EXPECT_EQ(tracked_pbft->safe.complement(), plain_pbft.safe.complement());
+  EXPECT_EQ(tracked_pbft->live.complement(), plain_pbft.live.complement());
+  EXPECT_EQ(tracked_pbft->safe_and_live.complement(), plain_pbft.safe_and_live.complement());
+
+  const auto raft_config = RaftConfig::Standard(5);
+  const ReliabilityReport plain_raft = AnalyzeRaft(raft_config, analyzer, AnalysisMethod::kExact);
+  const auto tracked_raft =
+      TryAnalyzeRaft(raft_config, analyzer, AnalysisMethod::kExact, &unfired);
+  ASSERT_TRUE(tracked_raft.ok());
+  EXPECT_EQ(tracked_raft->safe.complement(), plain_raft.safe.complement());
+  EXPECT_EQ(tracked_raft->live.complement(), plain_raft.live.complement());
+  EXPECT_EQ(tracked_raft->safe_and_live.complement(), plain_raft.safe_and_live.complement());
+
+  const std::vector<double> nodes = {0.01, 0.02, 0.005, 0.01, 0.03};
+  const std::vector<double> racks = {0.002, 0.01, 0.004};
+  const PlacementResult plain_placement = OptimizeRackPlacement(nodes, racks);
+  const auto tracked_placement = TryOptimizeRackPlacement(nodes, racks, &unfired);
+  ASSERT_TRUE(tracked_placement.ok());
+  EXPECT_EQ(tracked_placement->rack_of, plain_placement.rack_of);
+  EXPECT_EQ(tracked_placement->safe_and_live.complement(),
+            plain_placement.safe_and_live.complement());
 }
 
 }  // namespace

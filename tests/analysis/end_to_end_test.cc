@@ -1,6 +1,7 @@
 #include "src/analysis/end_to_end.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,34 @@ EndToEndParams BaseParams() {
   params.mean_time_to_recover = 0.5;
   params.data_loss_given_violation = 1.0;
   return params;
+}
+
+TEST(EndToEndTest, ValidateAcceptsTheLimitsAndRejectsOnePast) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const auto valid = [](auto mutate) {
+    EndToEndParams params = BaseParams();
+    mutate(params);
+    return ValidateEndToEndParams(params).ok();
+  };
+  EXPECT_TRUE(valid([](EndToEndParams&) {}));
+  EXPECT_TRUE(valid([&](EndToEndParams& p) { p.window_hours = kTiny; }));
+  EXPECT_FALSE(valid([](EndToEndParams& p) { p.window_hours = 0.0; }));
+  EXPECT_TRUE(valid([&](EndToEndParams& p) { p.window_hours = kMax; }));
+  EXPECT_FALSE(valid([&](EndToEndParams& p) { p.window_hours = kInf; }));
+  EXPECT_TRUE(valid([](EndToEndParams& p) { p.mean_time_to_recover = 0.0; }));
+  EXPECT_FALSE(valid([&](EndToEndParams& p) { p.mean_time_to_recover = -kTiny; }));
+  EXPECT_FALSE(valid([&](EndToEndParams& p) { p.mean_time_to_recover = kInf; }));
+  EXPECT_TRUE(valid([&](EndToEndParams& p) { p.mission_hours = kTiny; }));
+  EXPECT_FALSE(valid([](EndToEndParams& p) { p.mission_hours = 0.0; }));
+  EXPECT_FALSE(valid([&](EndToEndParams& p) { p.mission_hours = kInf; }));
+  EXPECT_TRUE(valid([](EndToEndParams& p) { p.data_loss_given_violation = 0.0; }));
+  EXPECT_TRUE(valid([](EndToEndParams& p) { p.data_loss_given_violation = 1.0; }));
+  EXPECT_FALSE(valid([&](EndToEndParams& p) { p.data_loss_given_violation = -kTiny; }));
+  EXPECT_FALSE(valid(
+      [](EndToEndParams& p) { p.data_loss_given_violation = std::nextafter(1.0, 2.0); }));
+  EXPECT_FALSE(valid([](EndToEndParams& p) { p.data_loss_given_violation = std::nan(""); }));
 }
 
 TEST(EndToEndTest, AvailabilityMatchesRenewalFormula) {

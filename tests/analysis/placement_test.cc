@@ -1,6 +1,9 @@
 #include "src/analysis/placement.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +84,32 @@ TEST(PlacementTest, TwoRacksCannotBeatPackingButThreeCan) {
   EXPECT_EQ(counts, (std::vector<int>{1, 2, 2}));
   EXPECT_LT(best_three.safe_and_live.complement(),
             best_two.safe_and_live.complement() / 20.0);
+}
+
+TEST(PlacementTest, ValidateAcceptsTheLimitsAndRejectsOnePast) {
+  const std::vector<double> nodes(kMaxPlacementNodes, 0.01);
+  const std::vector<double> racks(kMaxPlacementRacks, 0.001);
+  EXPECT_TRUE(ValidateRackPlacement(nodes, racks).ok());
+  EXPECT_TRUE(ValidateRackPlacement({0.01}, {0.001}).ok());
+  EXPECT_EQ(ValidateRackPlacement(std::vector<double>(kMaxPlacementNodes + 1, 0.01), racks)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateRackPlacement(nodes, std::vector<double>(kMaxPlacementRacks + 1, 0.001))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ValidateRackPlacement({}, racks).ok());
+  EXPECT_FALSE(ValidateRackPlacement(nodes, {}).ok());
+
+  // Probabilities: 0 and 1 are in range, the neighbouring doubles outside it are not.
+  EXPECT_TRUE(ValidateRackPlacement({0.0, 1.0}, {0.0, 1.0}).ok());
+  const double above_one = std::nextafter(1.0, 2.0);
+  const double below_zero = std::nextafter(0.0, -1.0);
+  EXPECT_FALSE(ValidateRackPlacement({0.01, above_one}, racks).ok());
+  EXPECT_FALSE(ValidateRackPlacement({0.01, below_zero}, racks).ok());
+  EXPECT_FALSE(ValidateRackPlacement(nodes, {0.001, above_one}).ok());
+  EXPECT_FALSE(ValidateRackPlacement(nodes, {0.001, below_zero}).ok());
+  EXPECT_FALSE(
+      ValidateRackPlacement(nodes, {std::numeric_limits<double>::quiet_NaN()}).ok());
 }
 
 }  // namespace

@@ -104,12 +104,18 @@ TEST(RoundAnalysisTest, CancellationUnwinds) {
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
-TEST(RoundAnalysisTest, ProgressCountsRoundRegimes) {
+TEST(RoundAnalysisTest, ProgressCountsEnumeratedConfigurations) {
+  // Progress means what it means in TryEventProbability: the count DP enumerates nothing,
+  // and kExact enumerates 2^3 configurations per regime, two regimes per round.
   std::atomic<uint64_t> progress{0};
-  const auto result = TryAnalyzeRaftRounds(RaftConfig::Standard(3), FlatSchedule(3, 0.01, 7),
-                                           AnalysisMethod::kAuto, nullptr, &progress);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(progress.load(), 14u);  // Two regimes per round.
+  const auto count_dp = TryAnalyzeRaftRounds(RaftConfig::Standard(3), FlatSchedule(3, 0.01, 7),
+                                             AnalysisMethod::kAuto, nullptr, &progress);
+  ASSERT_TRUE(count_dp.ok());
+  EXPECT_EQ(progress.load(), 0u);
+  const auto exact = TryAnalyzeRaftRounds(RaftConfig::Standard(3), FlatSchedule(3, 0.01, 7),
+                                          AnalysisMethod::kExact, nullptr, &progress);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(progress.load(), 7u * 2u * 8u);
 }
 
 // ---------------------------------------------------------------------------------------

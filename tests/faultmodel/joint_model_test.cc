@@ -1,6 +1,7 @@
 #include "src/faultmodel/joint_model.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,6 +156,26 @@ TEST(BetaBinomialModelTest, Exchangeability) {
               1e-15);
   EXPECT_NEAR(*model.ConfigurationProbability(0b0101), *model.ConfigurationProbability(0b1010),
               1e-15);
+}
+
+TEST(BetaBinomialModelTest, ValidateAcceptsTheLimitsAndRejectsOnePast) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_TRUE(BetaBinomialFailureModel::Validate(kMaxConfigurationNodes, 1.0, 50.0).ok());
+  EXPECT_FALSE(BetaBinomialFailureModel::Validate(kMaxConfigurationNodes + 1, 1.0, 50.0).ok());
+  EXPECT_TRUE(BetaBinomialFailureModel::Validate(1, 1.0, 50.0).ok());
+  EXPECT_FALSE(BetaBinomialFailureModel::Validate(0, 1.0, 50.0).ok());
+  // The largest finite parameter is a point mass; infinity would sample NaN levels.
+  EXPECT_TRUE(BetaBinomialFailureModel::Validate(5, kMax, 50.0).ok());
+  EXPECT_FALSE(BetaBinomialFailureModel::Validate(5, kInf, 50.0).ok());
+  EXPECT_TRUE(BetaBinomialFailureModel::Validate(5, 1.0, kMax).ok());
+  EXPECT_FALSE(BetaBinomialFailureModel::Validate(5, 1.0, kInf).ok());
+  EXPECT_TRUE(BetaBinomialFailureModel::Validate(5, kTiny, kTiny).ok());
+  EXPECT_FALSE(BetaBinomialFailureModel::Validate(5, 0.0, 50.0).ok());
+  EXPECT_FALSE(BetaBinomialFailureModel::Validate(5, 1.0, 0.0).ok());
+  EXPECT_EQ(BetaBinomialFailureModel::Validate(5, std::nan(""), 50.0).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SamplersTest, GammaMeanMatchesShape) {

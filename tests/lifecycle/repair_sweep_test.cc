@@ -1,6 +1,7 @@
 #include "src/lifecycle/repair_sweep.h"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -16,6 +17,38 @@ FleetParams FivePlex() {
   params.classes = {{.count = 5, .failure_rate = 1e-3}};
   params.repair_servers = 1;
   return params;
+}
+
+TEST(RepairSweepTest, ValidateGridAcceptsTheLimitsAndRejectsOnePast) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_TRUE(ValidateGeometricRepairRates(0.1, 1.0, 1).ok());
+  EXPECT_FALSE(ValidateGeometricRepairRates(0.1, 1.0, 0).ok());
+  EXPECT_TRUE(ValidateGeometricRepairRates(0.5, 0.5, 4).ok());
+  EXPECT_FALSE(ValidateGeometricRepairRates(std::nextafter(0.5, 1.0), 0.5, 4).ok());
+  EXPECT_TRUE(ValidateGeometricRepairRates(kTiny, 1.0, 4).ok());
+  EXPECT_FALSE(ValidateGeometricRepairRates(0.0, 1.0, 4).ok());
+  EXPECT_TRUE(ValidateGeometricRepairRates(0.1, kMax, 4).ok());
+  EXPECT_EQ(
+      ValidateGeometricRepairRates(0.1, std::numeric_limits<double>::infinity(), 4).code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(RepairSweepTest, ValidateSweepAcceptsTheLimitsAndRejectsOnePast) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_TRUE(ValidateRepairRateSweep({0.5}, std::nullopt).ok());
+  EXPECT_FALSE(ValidateRepairRateSweep({}, std::nullopt).ok());
+  EXPECT_TRUE(ValidateRepairRateSweep({kTiny, kMax}, std::nullopt).ok());
+  EXPECT_FALSE(ValidateRepairRateSweep({0.5, 0.0}, std::nullopt).ok());
+  EXPECT_FALSE(
+      ValidateRepairRateSweep({0.5, std::numeric_limits<double>::infinity()}, std::nullopt)
+          .ok());
+  // The target is an open interval: its neighbours inside pass, 0 and 1 do not.
+  EXPECT_TRUE(ValidateRepairRateSweep({0.5}, kTiny).ok());
+  EXPECT_FALSE(ValidateRepairRateSweep({0.5}, 0.0).ok());
+  EXPECT_TRUE(ValidateRepairRateSweep({0.5}, std::nextafter(1.0, 0.0)).ok());
+  EXPECT_EQ(ValidateRepairRateSweep({0.5}, 1.0).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RepairSweepTest, GeometricGridSpansEndpointsLogUniformly) {

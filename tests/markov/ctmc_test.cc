@@ -34,7 +34,7 @@ TEST(CtmcTest, GeneratorRowsSumToZero) {
 TEST(CtmcTest, TwoStateSteadyState) {
   // pi_up = mu / (mu + lambda).
   const Ctmc chain = TwoStateMachine(0.1, 2.0);
-  const auto pi = chain.SteadyState();
+  const auto pi = chain.TrySteadyState();
   ASSERT_TRUE(pi.ok());
   EXPECT_NEAR((*pi)[0], 2.0 / 2.1, 1e-10);
   EXPECT_NEAR((*pi)[1], 0.1 / 2.1, 1e-10);
@@ -48,7 +48,7 @@ TEST(CtmcTest, MM1QueueSteadyStateIsGeometric) {
     chain.AddTransition(k, k + 1, 1.0);
     chain.AddTransition(k + 1, k, 2.0);
   }
-  const auto pi = chain.SteadyState();
+  const auto pi = chain.TrySteadyState();
   ASSERT_TRUE(pi.ok());
   for (int k = 1; k < kStates; ++k) {
     EXPECT_NEAR((*pi)[k] / (*pi)[k - 1], 0.5, 1e-9) << k;
@@ -58,7 +58,7 @@ TEST(CtmcTest, MM1QueueSteadyStateIsGeometric) {
 TEST(CtmcTest, SteadyStateOfAbsorbingChainConcentratesThere) {
   Ctmc chain(2);
   chain.AddTransition(0, 1, 1.0);  // 1 is absorbing.
-  const auto pi = chain.SteadyState();
+  const auto pi = chain.TrySteadyState();
   ASSERT_TRUE(pi.ok());
   EXPECT_NEAR((*pi)[0], 0.0, 1e-12);
   EXPECT_NEAR((*pi)[1], 1.0, 1e-12);
@@ -70,14 +70,14 @@ TEST(CtmcTest, SteadyStateFailsWithTwoAbsorbingComponents) {
   Ctmc chain(4);
   chain.AddTransition(0, 1, 1.0);
   chain.AddTransition(2, 3, 1.0);
-  EXPECT_FALSE(chain.SteadyState().ok());
+  EXPECT_FALSE(chain.TrySteadyState().ok());
 }
 
 TEST(CtmcTest, MeanTimeToAbsorptionExponential) {
   // Single transition 0 -> 1 at rate lambda: MTTA = 1/lambda.
   Ctmc chain(2);
   chain.AddTransition(0, 1, 0.25);
-  const auto mtta = chain.MeanTimeToAbsorption(0, {1});
+  const auto mtta = chain.TryMeanTimeToAbsorption(0, {1});
   ASSERT_TRUE(mtta.ok());
   EXPECT_NEAR(*mtta, 4.0, 1e-10);
 }
@@ -87,7 +87,7 @@ TEST(CtmcTest, MeanTimeToAbsorptionSeries) {
   Ctmc chain(3);
   chain.AddTransition(0, 1, 1.0);
   chain.AddTransition(1, 2, 2.0);
-  const auto mtta = chain.MeanTimeToAbsorption(0, {2});
+  const auto mtta = chain.TryMeanTimeToAbsorption(0, {2});
   ASSERT_TRUE(mtta.ok());
   EXPECT_NEAR(*mtta, 1.5, 1e-10);
 }
@@ -101,7 +101,7 @@ TEST(CtmcTest, MeanTimeToAbsorptionWithRepairClosedForm) {
   chain.AddTransition(0, 1, l);
   chain.AddTransition(1, 0, m);
   chain.AddTransition(1, 2, l);
-  const auto mtta = chain.MeanTimeToAbsorption(0, {2});
+  const auto mtta = chain.TryMeanTimeToAbsorption(0, {2});
   ASSERT_TRUE(mtta.ok());
   EXPECT_NEAR(*mtta, (2 * l + m) / (l * l), 1e-9);
 }
@@ -109,31 +109,9 @@ TEST(CtmcTest, MeanTimeToAbsorptionWithRepairClosedForm) {
 TEST(CtmcTest, MttaFromAbsorbingStateIsZero) {
   Ctmc chain(2);
   chain.AddTransition(0, 1, 1.0);
-  const auto mtta = chain.MeanTimeToAbsorption(1, {1});
+  const auto mtta = chain.TryMeanTimeToAbsorption(1, {1});
   ASSERT_TRUE(mtta.ok());
   EXPECT_DOUBLE_EQ(*mtta, 0.0);
-}
-
-TEST(CtmcTest, AbsorptionProbabilitiesCompete) {
-  // 0 -> 1 at rate 3, 0 -> 2 at rate 1: absorbed at 1 w.p. 3/4.
-  Ctmc chain(3);
-  chain.AddTransition(0, 1, 3.0);
-  chain.AddTransition(0, 2, 1.0);
-  const auto probs = chain.AbsorptionProbabilities(0, {1, 2});
-  ASSERT_TRUE(probs.ok());
-  EXPECT_NEAR((*probs)[0], 0.75, 1e-10);
-  EXPECT_NEAR((*probs)[1], 0.25, 1e-10);
-}
-
-TEST(CtmcTest, AbsorptionProbabilitiesSumToOne) {
-  Ctmc chain(4);
-  chain.AddTransition(0, 1, 1.0);
-  chain.AddTransition(1, 0, 5.0);
-  chain.AddTransition(0, 2, 0.3);
-  chain.AddTransition(1, 3, 0.7);
-  const auto probs = chain.AbsorptionProbabilities(0, {2, 3});
-  ASSERT_TRUE(probs.ok());
-  EXPECT_NEAR((*probs)[0] + (*probs)[1], 1.0, 1e-10);
 }
 
 TEST(CtmcTest, TransientDistributionTwoStateClosedForm) {
@@ -162,7 +140,7 @@ TEST(CtmcTest, TransientConvergesToSteadyState) {
   const Ctmc chain = TwoStateMachine(0.5, 1.5);
   const Vector initial = {1.0, 0.0};
   const Vector late = chain.TransientDistribution(initial, 100.0);
-  const auto pi = chain.SteadyState();
+  const auto pi = chain.TrySteadyState();
   ASSERT_TRUE(pi.ok());
   EXPECT_NEAR(late[0], (*pi)[0], 1e-8);
   EXPECT_NEAR(late[1], (*pi)[1], 1e-8);
@@ -215,15 +193,22 @@ TEST(CtmcTest, TrySolversHonorCancellation) {
 
 TEST(CtmcTest, TrySolversMatchUncancelledBaseline) {
   const Ctmc chain = TwoStateMachine(0.4, 1.6);
-  const auto baseline = chain.SteadyState();
-  const auto tried = chain.TrySteadyState({});
+  CancelToken unfired;
+  const CtmcSolveOptions options{.cancel = &unfired};
+  const auto baseline = chain.TrySteadyState();
+  const auto tried = chain.TrySteadyState(options);
   ASSERT_TRUE(baseline.ok());
   ASSERT_TRUE(tried.ok());
-  EXPECT_DOUBLE_EQ((*tried)[0], (*baseline)[0]);
+  EXPECT_EQ((*tried)[0], (*baseline)[0]);
+  const auto mtta = chain.TryMeanTimeToAbsorption(0, {1});
+  const auto tried_mtta = chain.TryMeanTimeToAbsorption(0, {1}, options);
+  ASSERT_TRUE(mtta.ok());
+  ASSERT_TRUE(tried_mtta.ok());
+  EXPECT_EQ(*tried_mtta, *mtta);
   const Vector direct = chain.TransientDistribution({1.0, 0.0}, 2.5);
-  const auto tried_transient = chain.TryTransientDistribution({1.0, 0.0}, 2.5, {});
+  const auto tried_transient = chain.TryTransientDistribution({1.0, 0.0}, 2.5, options);
   ASSERT_TRUE(tried_transient.ok());
-  EXPECT_DOUBLE_EQ((*tried_transient)[0], direct[0]);
+  EXPECT_EQ((*tried_transient)[0], direct[0]);
 }
 
 TEST(CtmcTest, ProgressCellCountsUniformizationTerms) {
@@ -239,7 +224,7 @@ TEST(CtmcTest, AccumulatedParallelTransitions) {
   Ctmc chain(2);
   chain.AddTransition(0, 1, 0.5);
   chain.AddTransition(0, 1, 0.5);  // Accumulates to rate 1.
-  const auto mtta = chain.MeanTimeToAbsorption(0, {1});
+  const auto mtta = chain.TryMeanTimeToAbsorption(0, {1});
   ASSERT_TRUE(mtta.ok());
   EXPECT_NEAR(*mtta, 1.0, 1e-10);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "src/common/json.h"
 #include "src/serve/spec.h"
@@ -143,6 +144,32 @@ TEST(Validation, RejectsOutOfRangeInputs) {
                      R"({"protocol": "raft", "fault": {"n": 5, "p": 0.01}, "trials": 0})")
                 .code(),
             StatusCode::kInvalidArgument);
+  // One past each engine's own Validate limit: the edge answers with that Status.
+  const std::string fleet3 = R"("fleet": {"classes": [{"count": 3, "failure_rate": 1e-3}]})";
+  const std::pair<std::string, std::string> past_the_limit[] = {
+      {"placement", R"({"node_probabilities": [0.01, 0.01, 0.01], "rack_probabilities": )"
+                    R"([0.001, 0.001, 0.001, 0.001, 0.001, 0.001]})"},
+      {"placement", R"({"node_probabilities": [0.01, 1.0000000000000002], )"
+                    R"("rack_probabilities": [0.001]})"},
+      {"montecarlo", R"({"protocol": "raft", "model": {"kind": "beta_binomial", "n": 5, )"
+                     R"("alpha": 1e999, "beta": 50}, "trials": 1000})"},
+      {"montecarlo", R"({"protocol": "raft", "model": {"kind": "beta_binomial", "n": 5, )"
+                     R"("alpha": 1, "beta": 1e999}, "trials": 1000})"},
+      {"end_to_end", R"({"protocol": "raft", "n": 5, "window_hours": 0})"},
+      {"end_to_end", R"({"protocol": "raft", "n": 5, "mttr_hours": -5e-324})"},
+      {"end_to_end", R"({"protocol": "raft", "n": 5, "mission_hours": 1e999})"},
+      {"end_to_end", R"({"protocol": "raft", "n": 5, "data_loss_given_violation": )"
+                     R"(1.0000000000000002})"},
+      {"repair_sweep", R"({"protocol": "raft", )" + fleet3 +
+                           R"(, "min_rate": 0.1, "max_rate": 1, "points": 0})"},
+      {"repair_sweep", R"({"protocol": "raft", )" + fleet3 +
+                           R"(, "min_rate": 1.0000000000000002, "max_rate": 1, "points": 4})"},
+      {"repair_sweep", R"({"protocol": "raft", )" + fleet3 +
+                           R"(, "repair_rates": [0.5], "target_availability": 1})"},
+  };
+  for (const auto& [kind, params] : past_the_limit) {
+    EXPECT_EQ(ErrorFor(kind, params).code(), StatusCode::kInvalidArgument) << kind << params;
+  }
 }
 
 TEST(Validation, RejectsMalformedEnvelopes) {

@@ -3,11 +3,13 @@
 // collisions for semantically equal spellings, engine execution, and server-level
 // memoization over the loopback transport.
 
+#include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/common/json.h"
+#include "src/markov/ctmc.h"
 #include "src/serve/client.h"
 #include "src/serve/engine.h"
 #include "src/serve/server.h"
@@ -139,6 +141,39 @@ TEST(LifecycleSpec, AstronomicalMissionHorizonIsRejectedAtTheEdge) {
   // particular rate * horizon blows the uniformization flop budget.
   ASSERT_FALSE(request.ok());
   EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(LifecycleSpec, UniformizationBudgetAdmitsUpToItsBoundaryAndNotOnePast) {
+  // The edge prices a mission with ctmc.h's slack and term bound, the expressions the
+  // solver itself loops to, against the 2e9 flop budget: terms * states^2. This fleet has
+  // 4 lumped states and an exit-rate bound of 3 * 1e-3 + 1 * 100 per hour.
+  const Json fleet = Params(R"({"protocol": "raft",
+      "fleet": {"classes": [{"count": 3, "failure_rate": 1e-3}], "repair_rate": 100.0}})");
+  const double exit_rate = 3 * 1e-3 + 100.0;
+  const auto within_budget = [&](double hours) {
+    return UniformizationTermBound(kUniformizationSlack * exit_rate * hours) * 4.0 * 4.0 <=
+           2e9;
+  };
+  // The cost is monotone in the horizon, so bisect to the last admitted double.
+  double inside = 1.0;
+  double outside = 1e7;
+  ASSERT_TRUE(within_budget(inside));
+  ASSERT_FALSE(within_budget(outside));
+  for (int step = 0; step < 200 && std::nextafter(inside, outside) < outside; ++step) {
+    const double mid = inside + (outside - inside) / 2;
+    (within_budget(mid) ? inside : outside) = mid;
+  }
+  ASSERT_EQ(std::nextafter(inside, outside), outside);
+  const auto parse = [&](double hours) {
+    Json params = fleet;
+    params.Set("mission_hours", Json::Number(hours));
+    return ServeRequest::FromParams(RequestKind::kMissionReliability, params);
+  };
+  const auto admitted = parse(inside);
+  EXPECT_TRUE(admitted.ok()) << admitted.status().ToString();
+  const auto rejected = parse(outside);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------------------

@@ -226,6 +226,23 @@ TEST(QueryServerTest, ValidationErrorsSurfaceAsInvalidArgument) {
       {"mission_reliability", R"({"protocol": "raft", "schedule": {"curve": {"kind": )"
                               R"("weibull", "shape": 1, "scale": 1e-300}, "n": 5, )"
                               R"("round_hours": 1, "rounds": 4, "age": 1e10}})"},
+      // One past each limit an engine's Validate states; an infinite beta-binomial alpha
+      // once answered OK with a "never fails" estimate.
+      {"placement", R"({"node_probabilities": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, )"
+                    R"(0.01, 0.01, 0.01, 0.01], "rack_probabilities": [0.001]})"},
+      {"placement", R"({"node_probabilities": [0.01], "rack_probabilities": [0.001, 0.001, )"
+                    R"(0.001, 0.001, 0.001, 0.001]})"},
+      {"montecarlo", R"({"protocol": "raft", "model": {"kind": "beta_binomial", "n": 5, )"
+                     R"("alpha": 1e999, "beta": 50}, "trials": 1000})"},
+      {"end_to_end", R"({"protocol": "raft", "n": 5, "data_loss_given_violation": )"
+                     R"(1.0000000000000002})"},
+      {"repair_sweep", R"({"protocol": "raft", )" + fleet3 +
+                           R"(, "min_rate": 0.01, "max_rate": 10, "points": 0})"},
+      {"repair_sweep", R"({"protocol": "raft", )" + fleet3 +
+                           R"(, "repair_rates": [0.5], "target_availability": 1})"},
+      {"mission_reliability", R"({"protocol": "raft", "fleet": {"classes": [{"count": 3, )"
+                              R"("failure_rate": 1e-3}], "repair_rate": 100}, )"
+                              R"("mission_hours": 9e6})"},
   };
   for (const auto& [kind, params] : requests) {
     auto response = client.Query(kind, Params(params));

@@ -11,10 +11,11 @@
 #      closed form, and require its repeat to hit the memo cache,
 #   4. pipeline a --concurrency batch through one connection and require every response
 #      to come back, matched to a distinct request id, with the same result object,
-#   5. fire a 1 ms deadline at a 2^30-trial Monte Carlo request and require a prompt
-#      DEADLINE_EXCEEDED instead of a wedged server; send invalid requests — among them a
-#      bathtub curve that once aborted the daemon — and require INVALID_ARGUMENT (exit 3)
-#      from a daemon that still answers ping,
+#   5. fire a 1 ms deadline at a 2^30-trial Monte Carlo request and a 50 ms deadline at the
+#      largest placement search, and require a prompt DEADLINE_EXCEEDED instead of a wedged
+#      server; send invalid requests — among them a bathtub curve that once aborted the
+#      daemon and an infinite beta-binomial alpha that once answered "always live" — and
+#      require INVALID_ARGUMENT (exit 3) from a daemon that still answers ping,
 #   6. query the `stats` verb and require a parseable metrics snapshot whose cache-hit
 #      counter reflects the repeated query, whose per-reactor-shard connection gauges sum
 #      to the active-connection gauge, and a --trace request to echo its span breakdown,
@@ -161,6 +162,15 @@ DEADLINE_EXIT=$?
 echo "${DEADLINE_OUT}" | grep -q 'DEADLINE_EXCEEDED' \
   || fail "deadline query did not report DEADLINE_EXCEEDED: ${DEADLINE_OUT}"
 
+# The largest admitted placement search (5^10 assignments, each a 2^10 enumeration) must
+# honor its deadline too. `timeout` bounds the check: a search that ignored the token
+# would run for about half an hour.
+timeout 60 "${CLI}" --port "${PORT}" --deadline-ms 50 placement \
+  '{"node_probabilities": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
+    "rack_probabilities": [0.001, 0.002, 0.003, 0.004, 0.005]}' >/dev/null 2>&1
+PLACEMENT_EXIT=$?
+[ "${PLACEMENT_EXIT}" = 4 ] || fail "placement deadline query exit ${PLACEMENT_EXIT}, want 4"
+
 # Error classes map to distinct exit codes: an invalid request is 3.
 "${CLI}" --port "${PORT}" table1 '{"n": 1}' >/dev/null 2>&1
 INVALID_EXIT=$?
@@ -173,6 +183,13 @@ INVALID_EXIT=$?
   "n": 5, "window": 24}}' >/dev/null 2>&1
 CURVE_EXIT=$?
 [ "${CURVE_EXIT}" = 3 ] || fail "invalid bathtub curve query exit ${CURVE_EXIT}, want 3"
+
+# An infinite beta-binomial parameter is INVALID_ARGUMENT; it used to sample NaN failure
+# levels and answer that the cluster never fails.
+"${CLI}" --port "${PORT}" montecarlo '{"protocol": "raft", "model": {"kind": "beta_binomial",
+  "n": 5, "alpha": 1e999, "beta": 50}, "trials": 1000}' >/dev/null 2>&1
+ALPHA_EXIT=$?
+[ "${ALPHA_EXIT}" = 3 ] || fail "infinite beta-binomial alpha query exit ${ALPHA_EXIT}, want 3"
 
 # The daemon must still be healthy after the cancelled and the rejected requests.
 "${CLI}" --port "${PORT}" ping >/dev/null \

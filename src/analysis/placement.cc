@@ -30,6 +30,18 @@ struct BestAssignment {
 
 constexpr uint64_t kPlacementChunk = 64;
 
+// Standard-quorum Raft report of one assignment, by enumerating its 2^n configurations.
+Result<ReliabilityReport> TryEvaluate(const std::vector<double>& node_base_probabilities,
+                                      const std::vector<double>& rack_probabilities,
+                                      const std::vector<int>& rack_of, const CancelToken* cancel,
+                                      std::atomic<uint64_t>* progress) {
+  CHECK_EQ(rack_of.size(), node_base_probabilities.size());
+  const ReliabilityAnalyzer analyzer(std::make_unique<FailureDomainModel>(
+      node_base_probabilities, rack_of, rack_probabilities));
+  return TryAnalyzeRaft(RaftConfig::Standard(static_cast<int>(rack_of.size())), analyzer,
+                        AnalysisMethod::kAuto, cancel, progress);
+}
+
 }  // namespace
 
 Status ValidateRackPlacement(const std::vector<double>& node_base_probabilities,
@@ -53,22 +65,17 @@ Status ValidateRackPlacement(const std::vector<double>& node_base_probabilities,
 Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabilities,
                                   const std::vector<double>& rack_probabilities,
                                   const std::vector<int>& rack_of) {
-  const int n = static_cast<int>(node_base_probabilities.size());
-  CHECK_EQ(rack_of.size(), node_base_probabilities.size());
-  auto model = std::make_unique<FailureDomainModel>(node_base_probabilities, rack_of,
-                                                    rack_probabilities);
-  const ReliabilityAnalyzer analyzer(std::move(model));
-  return AnalyzeRaft(RaftConfig::Standard(n), analyzer).safe_and_live;
+  // Without a token the evaluation cannot fail; Result's accessor CHECKs that it did not.
+  return TryEvaluate(node_base_probabilities, rack_probabilities, rack_of, nullptr, nullptr)
+      ->safe_and_live;
 }
 
 Result<PlacementResult> TryOptimizeRackPlacement(
     const std::vector<double>& node_base_probabilities,
-    const std::vector<double>& rack_probabilities, const CancelToken* cancel) {
+    const std::vector<double>& rack_probabilities, const CancelToken* cancel,
+    std::atomic<uint64_t>* progress) {
   const Status valid = ValidateRackPlacement(node_base_probabilities, rack_probabilities);
   CHECK(valid.ok()) << valid.ToString();
-  if (IsCancelled(cancel)) {
-    return CancelledError("placement search cancelled before start");
-  }
   const int n = static_cast<int>(node_base_probabilities.size());
   const int racks = static_cast<int>(rack_probabilities.size());
   uint64_t total = 1;
@@ -78,18 +85,20 @@ Result<PlacementResult> TryOptimizeRackPlacement(
   // Chunked argmax over the r^n assignment space. Per-chunk winners keep the earliest
   // index among equals (strict > to replace), and chunks merge in ascending order with a
   // strict < comparison, so ties resolve to the lowest assignment index — exactly the
-  // assignment the sequential odometer found first. Every assignment polls `cancel` first
-  // (one assignment is at most 2^kMaxPlacementNodes configurations, under one poll
-  // stride); a fired token ends each chunk early and the partial winner is discarded below.
-  const BestAssignment best = ParallelReduce<BestAssignment>(
+  // assignment the sequential odometer found first. Each assignment's enumeration takes
+  // `cancel` and `progress`: its executor polls the token before it starts, and a cancelled
+  // assignment ends the chunk, whose partial winner ParallelReduce then discards.
+  const Result<BestAssignment> best = ParallelReduce<BestAssignment>(
       0, total, kPlacementChunk, BestAssignment{},
       [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t /*chunk_index*/) {
         BestAssignment chunk_best;
-        for (uint64_t index = chunk_begin; index < chunk_end && !IsCancelled(cancel); ++index) {
-          const Probability candidate = EvaluateRackPlacement(
-              node_base_probabilities, rack_probabilities, DecodeAssignment(index, n, racks));
-          if (!chunk_best.valid || chunk_best.safe_and_live < candidate) {
-            chunk_best.safe_and_live = candidate;
+        for (uint64_t index = chunk_begin; index < chunk_end; ++index) {
+          const Result<ReliabilityReport> candidate =
+              TryEvaluate(node_base_probabilities, rack_probabilities,
+                          DecodeAssignment(index, n, racks), cancel, progress);
+          if (!candidate.ok()) break;
+          if (!chunk_best.valid || chunk_best.safe_and_live < candidate->safe_and_live) {
+            chunk_best.safe_and_live = candidate->safe_and_live;
             chunk_best.index = index;
             chunk_best.valid = true;
           }
@@ -100,14 +109,13 @@ Result<PlacementResult> TryOptimizeRackPlacement(
         if (partial.valid && (!acc.valid || acc.safe_and_live < partial.safe_and_live)) {
           acc = partial;
         }
-      });
-  if (IsCancelled(cancel)) {
-    return CancelledError("placement search cancelled");
-  }
-  CHECK(best.valid);
+      },
+      nullptr, cancel);
+  if (!best.ok()) return best.status();
+  CHECK(best->valid);
   PlacementResult result;
-  result.rack_of = DecodeAssignment(best.index, n, racks);
-  result.safe_and_live = best.safe_and_live;
+  result.rack_of = DecodeAssignment(best->index, n, racks);
+  result.safe_and_live = best->safe_and_live;
   return result;
 }
 

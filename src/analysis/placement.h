@@ -10,6 +10,8 @@
 #ifndef PROBCON_SRC_ANALYSIS_PLACEMENT_H_
 #define PROBCON_SRC_ANALYSIS_PLACEMENT_H_
 
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "src/analysis/reliability.h"
@@ -40,11 +42,13 @@ Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabili
                                   const std::vector<int>& rack_of);
 
 // Exhaustive search over all r^n rack assignments; ties go to the lowest assignment index.
-// CHECKs ValidateRackPlacement. Polls `cancel` before each assignment and answers
-// kCancelled once it fires. The plain form CHECKs the cancellable one.
+// CHECKs ValidateRackPlacement. Each assignment's 2^n enumeration polls `cancel` before it
+// starts (kCancelled once it fires) and counts into `progress`: r^n * 2^n configurations
+// for a finished search. The plain form CHECKs the cancellable one.
 Result<PlacementResult> TryOptimizeRackPlacement(
     const std::vector<double>& node_base_probabilities,
-    const std::vector<double>& rack_probabilities, const CancelToken* cancel = nullptr);
+    const std::vector<double>& rack_probabilities, const CancelToken* cancel = nullptr,
+    std::atomic<uint64_t>* progress = nullptr);
 PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_probabilities,
                                       const std::vector<double>& rack_probabilities);
 

@@ -53,31 +53,19 @@ Probability CountDpProbability(const FailurePredicate& predicate, const PoissonB
 
 // Range-partitions the 2^N configuration space; each chunk accumulates compensated
 // holds/fails partial sums, merged in fixed chunk order so the result is bit-identical
-// for every thread count. A fired cancel token makes the remaining chunks bail at their
-// next poll (the partial results are then discarded by the caller). `progress`, when
-// non-null, accumulates evaluated configurations at the same poll boundaries.
+// for every thread count. `cancel` and `progress` act as in ParallelReduce and StridePoll.
 Result<Probability> ExactEnumerationProbability(const FailurePredicate& predicate,
                                                 const JointFailureModel& model,
                                                 const CancelToken* cancel,
                                                 std::atomic<uint64_t>* progress) {
   const int n = model.n();
   CHECK_LE(n, 25) << "exact enumeration limited to n <= 25";
-  const uint64_t configurations = uint64_t{1} << n;
-  const MassPartial total = ParallelReduce<MassPartial>(
-      0, configurations, kEnumerationChunk, MassPartial{},
+  const Result<MassPartial> total = ParallelReduce<MassPartial>(
+      0, uint64_t{1} << n, kEnumerationChunk, MassPartial{},
       [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t /*chunk_index*/) {
         MassPartial partial;
-        uint64_t reported = chunk_begin;
+        StridePoll poll(cancel, progress);
         for (uint64_t config = chunk_begin; config < chunk_end; ++config) {
-          if ((config - chunk_begin) % kCancellationPollStride == 0) {
-            if (progress != nullptr && config > reported) {
-              progress->fetch_add(config - reported, std::memory_order_relaxed);
-              reported = config;
-            }
-            if (IsCancelled(cancel)) {
-              return partial;
-            }
-          }
           const auto prob = model.ConfigurationProbability(config);
           CHECK(prob.has_value()) << "model" << model.Describe()
                                   << "lacks exact configuration probabilities";
@@ -86,20 +74,17 @@ Result<Probability> ExactEnumerationProbability(const FailurePredicate& predicat
           } else {
             partial.fails.Add(*prob);
           }
-        }
-        if (progress != nullptr && chunk_end > reported) {
-          progress->fetch_add(chunk_end - reported, std::memory_order_relaxed);
+          if (!poll.Tick()) break;
         }
         return partial;
       },
       [](MassPartial& acc, MassPartial&& partial) {
         acc.holds.Merge(partial.holds);
         acc.fails.Merge(partial.fails);
-      });
-  if (IsCancelled(cancel)) {
-    return CancelledError("exact enumeration cancelled");
-  }
-  return MassVerdict(total.holds, total.fails);
+      },
+      nullptr, cancel);
+  if (!total.ok()) return total.status();
+  return MassVerdict(total->holds, total->fails);
 }
 
 }  // namespace
@@ -201,41 +186,25 @@ Result<ConfidenceInterval> ReliabilityAnalyzer::TryEstimateEventProbability(
   CHECK_GT(options.trials, 0u);
   // Chunked sampling with per-chunk generators derived from (options.seed, chunk_index):
   // the hit count is a pure function of the options, never of the thread count. See the
-  // seeding-scheme note in src/common/rng.h. Cancellation polls sit on stride boundaries
-  // and only ever abandon work, so they cannot perturb the estimate of a completed run.
-  const CancelToken* cancel = options.cancel;
-  std::atomic<uint64_t>* progress = options.progress;
-  const uint64_t holds = ParallelReduce<uint64_t>(
+  // seeding-scheme note in src/common/rng.h. Cancellation only ever abandons work, so it
+  // cannot perturb the estimate of a completed run.
+  const Result<uint64_t> holds = ParallelReduce<uint64_t>(
       0, options.trials, kMonteCarloChunk, 0,
       [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t chunk_index) {
         Rng rng(DeriveStreamSeed(options.seed, chunk_index));
         uint64_t chunk_holds = 0;
-        uint64_t reported = chunk_begin;
+        StridePoll poll(options.cancel, options.progress);
         for (uint64_t t = chunk_begin; t < chunk_end; ++t) {
-          if ((t - chunk_begin) % kCancellationPollStride == 0) {
-            if (progress != nullptr && t > reported) {
-              progress->fetch_add(t - reported, std::memory_order_relaxed);
-              reported = t;
-            }
-            if (IsCancelled(cancel)) {
-              return chunk_holds;
-            }
-          }
-          const FailureConfiguration config = model_->Sample(rng);
-          if (predicate.Holds(config, n())) {
+          if (predicate.Holds(model_->Sample(rng), n())) {
             ++chunk_holds;
           }
-        }
-        if (progress != nullptr && chunk_end > reported) {
-          progress->fetch_add(chunk_end - reported, std::memory_order_relaxed);
+          if (!poll.Tick()) break;
         }
         return chunk_holds;
       },
-      [](uint64_t& acc, uint64_t partial) { acc += partial; });
-  if (IsCancelled(cancel)) {
-    return CancelledError("Monte Carlo estimate cancelled after partial sampling");
-  }
-  return WilsonInterval(holds, options.trials);
+      [](uint64_t& acc, uint64_t partial) { acc += partial; }, nullptr, options.cancel);
+  if (!holds.ok()) return holds.status();
+  return WilsonInterval(*holds, options.trials);
 }
 
 // ---------------------------------------------------------------------------

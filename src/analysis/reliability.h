@@ -103,15 +103,15 @@ struct MonteCarloOptions {
   // estimate is a pure function of (model, predicate, trials, seed), independent of the
   // thread count executing it.
   uint64_t seed = 42;
-  // Optional cooperative cancellation: the sampling loops poll this token every
-  // kCancellationPollStride trials and the Try* APIs return kCancelled once it fires. An
-  // uncancelled run performs exactly the same work in the same order, so results stay
-  // bit-identical with or without a token.
+  // Optional cooperative cancellation: ParallelReduce polls this token before each chunk
+  // and a StridePoll every kCancellationPollStride trials inside one; the Try* APIs return
+  // kCancelled once it fires. An uncancelled run performs exactly the same work in the same
+  // order, so results stay bit-identical with or without a token.
   const CancelToken* cancel = nullptr;
-  // Optional progress cell: completed trials are flushed into it at the same
-  // kCancellationPollStride boundaries the cancel polls use (plus a final flush per
-  // chunk), so an observer — the serving daemon's serve.engine.mc_trials counter — can
-  // watch a long estimate advance. Purely observational; never read by the computation.
+  // Optional progress cell: the same StridePoll adds completed trials to it every
+  // kCancellationPollStride trials and at the end of each chunk, so an observer — the
+  // serving daemon's serve.engine.mc_trials counter — can watch a long estimate advance.
+  // Purely observational; never read by the computation.
   std::atomic<uint64_t>* progress = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #include "src/analysis/round_analysis.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -9,18 +10,18 @@ namespace probcon {
 namespace {
 
 // Per-round q_i vectors under fail-stop accumulation: q_i^(r) = 1 - prod_{s<=r}(1 - p^(s)).
-// Survival is carried in product form per node, so each round's vector is exact in the
-// complement — the quantity the near-one reliability math cares about.
+// Each node carries log survival, sum log1p(-p), and q = -expm1(sum), so a q far below
+// machine epsilon keeps its digits instead of cancelling in 1 - survival.
 std::vector<std::vector<double>> AccumulatedProbabilities(const RoundSchedule& schedule) {
-  std::vector<double> survival(static_cast<size_t>(schedule.n()), 1.0);
+  std::vector<double> log_survival(static_cast<size_t>(schedule.n()), 0.0);
   std::vector<std::vector<double>> accumulated;
   accumulated.reserve(static_cast<size_t>(schedule.rounds()));
   for (int r = 0; r < schedule.rounds(); ++r) {
     const std::vector<double>& p = schedule.RoundProbabilities(r);
     std::vector<double> q(static_cast<size_t>(schedule.n()), 0.0);
-    for (int i = 0; i < schedule.n(); ++i) {
-      survival[static_cast<size_t>(i)] *= 1.0 - p[static_cast<size_t>(i)];
-      q[static_cast<size_t>(i)] = 1.0 - survival[static_cast<size_t>(i)];
+    for (size_t i = 0; i < q.size(); ++i) {
+      log_survival[i] += std::log1p(-p[i]);
+      q[i] = -std::expm1(log_survival[i]);
     }
     accumulated.push_back(std::move(q));
   }

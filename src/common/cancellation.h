@@ -8,9 +8,8 @@
 // and the determinism contract is untouched: a run that is never cancelled performs exactly
 // the work it always did, in the same order.
 //
-// Polls are relaxed atomic loads — a handful of nanoseconds — so threading them through the
-// Monte Carlo and 2^N enumeration inner loops (every kCancellationPollStride iterations)
-// costs nothing measurable.
+// Polls are relaxed atomic loads — a handful of nanoseconds. ParallelFor (src/exec) polls before
+// each chunk it hands out, and a StridePoll every kCancellationPollStride items inside one.
 
 #ifndef PROBCON_SRC_COMMON_CANCELLATION_H_
 #define PROBCON_SRC_COMMON_CANCELLATION_H_
@@ -19,9 +18,6 @@
 #include <cstdint>
 
 namespace probcon {
-
-// Iterations between cancellation polls inside hot analysis loops.
-inline constexpr uint64_t kCancellationPollStride = 1024;
 
 class CancelToken {
  public:
@@ -40,6 +36,32 @@ class CancelToken {
 inline bool IsCancelled(const CancelToken* token) {
   return token != nullptr && token->Cancelled();
 }
+
+// Iterations between cancellation polls inside hot analysis loops.
+inline constexpr uint64_t kCancellationPollStride = 1024;
+
+// The poll of a loop body. Tick() counts one finished item, adds the count to `progress`
+// every kCancellationPollStride items and at scope exit, and is false once `cancel` fired.
+class StridePoll {
+ public:
+  StridePoll(const CancelToken* cancel, std::atomic<uint64_t>* progress)
+      : cancel_(cancel), progress_(progress) {}
+  ~StridePoll() { Flush(); }
+  bool Tick() {
+    if (++unflushed_ < kCancellationPollStride) return true;
+    Flush();
+    return !IsCancelled(cancel_);
+  }
+
+ private:
+  void Flush() {
+    if (progress_ != nullptr && unflushed_ > 0) progress_->fetch_add(unflushed_);
+    unflushed_ = 0;
+  }
+  const CancelToken* cancel_;
+  std::atomic<uint64_t>* progress_;
+  uint64_t unflushed_ = 0;
+};
 
 }  // namespace probcon
 

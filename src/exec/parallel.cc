@@ -24,6 +24,7 @@ struct ForGroup {
   uint64_t end = 0;
   uint64_t chunk_size = 0;
   uint64_t chunks = 0;
+  const CancelToken* cancel = nullptr;  // Read only by a participant holding a chunk.
   std::atomic<uint64_t> next_chunk{0};
   // Completion bookkeeping. The group mutex is a LEAF: chunk bodies run OUTSIDE it, and
   // nothing else is ever acquired while it is held (see DESIGN.md decision 12).
@@ -47,20 +48,26 @@ void RunChunks(const std::shared_ptr<ForGroup>& group) {
     if (chunk >= group->chunks) {
       return;
     }
-    const uint64_t chunk_begin = group->begin + chunk * group->chunk_size;
-    const uint64_t chunk_end = std::min(group->end, chunk_begin + group->chunk_size);
+    // A claimed, unfinished chunk keeps ParallelFor waiting, so the caller's token is alive.
+    // Once it has fired, retire this chunk and every unclaimed one without running them.
+    uint64_t retired = 1;
     std::exception_ptr error;
-    try {
-      group->body(chunk_begin, chunk_end, chunk);
-    } catch (...) {
-      error = std::current_exception();
+    if (IsCancelled(group->cancel)) {
+      retired += group->chunks - std::min(group->chunks, group->next_chunk.exchange(group->chunks));
+    } else {
+      const uint64_t chunk_begin = group->begin + chunk * group->chunk_size;
+      try {
+        group->body(chunk_begin, std::min(group->end, chunk_begin + group->chunk_size), chunk);
+      } catch (...) {
+        error = std::current_exception();
+      }
     }
     std::lock_guard<std::mutex> lock(group->mutex);
     if (error && chunk < group->error_chunk) {
       group->error_chunk = chunk;
       group->error = error;
     }
-    if (++group->completed == group->chunks) {
+    if ((group->completed += retired) == group->chunks) {
       group->done.notify_all();
     }
   }
@@ -72,7 +79,7 @@ void RunChunks(const std::shared_ptr<ForGroup>& group) {
 // std::unique_lock, which clang's analysis cannot follow; probcon-lint still covers it.
 void ParallelFor(uint64_t begin, uint64_t end, uint64_t chunk_size,
                  const std::function<void(uint64_t, uint64_t, uint64_t)>& body,
-                 ThreadPool* pool) PROBCON_NO_THREAD_SAFETY_ANALYSIS {
+                 ThreadPool* pool, const CancelToken* cancel) PROBCON_NO_THREAD_SAFETY_ANALYSIS {
   CHECK_GT(chunk_size, 0u);
   const uint64_t total = end > begin ? end - begin : 0;
   if (total == 0) {
@@ -82,7 +89,7 @@ void ParallelFor(uint64_t begin, uint64_t end, uint64_t chunk_size,
   const uint64_t chunks = (total + chunk_size - 1) / chunk_size;
   if (chunks == 1 || executor.worker_count() == 0) {
     // Sequential fast path, in chunk order; exceptions propagate directly.
-    for (uint64_t chunk = 0; chunk < chunks; ++chunk) {
+    for (uint64_t chunk = 0; chunk < chunks && !IsCancelled(cancel); ++chunk) {
       const uint64_t chunk_begin = begin + chunk * chunk_size;
       const uint64_t chunk_end = std::min(end, chunk_begin + chunk_size);
       body(chunk_begin, chunk_end, chunk);
@@ -96,6 +103,7 @@ void ParallelFor(uint64_t begin, uint64_t end, uint64_t chunk_size,
   group->end = end;
   group->chunk_size = chunk_size;
   group->chunks = chunks;
+  group->cancel = cancel;
 
   // One helper per worker (capped by the chunks the caller won't take itself). Helpers
   // that find the cursor already exhausted exit immediately, so over-submitting is
@@ -107,8 +115,8 @@ void ParallelFor(uint64_t begin, uint64_t end, uint64_t chunk_size,
   }
   RunChunks(group);
 
-  // Every chunk is claimed once the caller's loop exits; wait only for claimed chunks
-  // still finishing on workers — a bounded wait, no generic task-stealing.
+  // Every chunk is claimed or retired once the caller's loop exits; wait only for claimed
+  // chunks still finishing on workers — a bounded wait, no generic task-stealing.
   std::unique_lock<std::mutex> lock(group->mutex);
   while (group->completed != group->chunks) {
     group->done.wait(lock);

@@ -13,6 +13,8 @@
 // sections cannot deadlock, and a 0-worker pool degrades to a plain sequential loop. If chunk bodies throw, the exception
 // from the LOWEST-indexed failing chunk is rethrown after all chunks finish — deterministic
 // error reporting under nondeterministic scheduling.
+// Given the caller's CancelToken, no chunk starts after it fires: a participant polls it
+// after claiming a chunk, and once it has fired retires every unclaimed chunk unrun.
 
 #ifndef PROBCON_SRC_EXEC_PARALLEL_H_
 #define PROBCON_SRC_EXEC_PARALLEL_H_
@@ -23,38 +25,39 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/cancellation.h"
+#include "src/common/check.h"
+#include "src/common/status.h"
 #include "src/exec/thread_pool.h"
 
 namespace probcon {
 
 // Runs body(chunk_begin, chunk_end, chunk_index) over [begin, end) split into chunks of
 // `chunk_size` (the last chunk may be short). Chunks execute concurrently on `pool`
-// (nullptr = ThreadPool::Global()); the call returns once all chunks completed.
+// (nullptr = ThreadPool::Global()); the call returns once every chunk ran or was retired.
 void ParallelFor(uint64_t begin, uint64_t end, uint64_t chunk_size,
                  const std::function<void(uint64_t, uint64_t, uint64_t)>& body,
-                 ThreadPool* pool = nullptr);
+                 ThreadPool* pool = nullptr, const CancelToken* cancel = nullptr);
 
-// Map-reduce over [begin, end): chunk_fn(chunk_begin, chunk_end, chunk_index) -> Result
-// per chunk, then merge(acc, std::move(partial)) folded in ascending chunk order starting
-// from `init`. Bit-identical for any worker count (including 0) as long as chunk_size is
-// held fixed.
-template <typename Result, typename ChunkFn, typename MergeFn>
-Result ParallelReduce(uint64_t begin, uint64_t end, uint64_t chunk_size, Result init,
-                      const ChunkFn& chunk_fn, const MergeFn& merge,
-                      ThreadPool* pool = nullptr) {
-  const uint64_t total = end > begin ? end - begin : 0;
-  if (total == 0) {
-    return init;
-  }
-  const uint64_t chunks = (total + chunk_size - 1) / chunk_size;
-  std::vector<std::optional<Result>> partials(chunks);
+// Map-reduce over [begin, end): chunk_fn(chunk_begin, chunk_end, chunk_index) -> T per
+// chunk, merged by merge(acc, std::move(partial)) in ascending chunk order from `init`.
+// Bit-identical for any worker count (including 0) at a fixed chunk_size. kCancelled, with
+// no partial merged, once `cancel` has fired, so a body may stop early at a StridePoll.
+template <typename T, typename ChunkFn, typename MergeFn>
+Result<T> ParallelReduce(uint64_t begin, uint64_t end, uint64_t chunk_size, T init,
+                         const ChunkFn& chunk_fn, const MergeFn& merge,
+                         ThreadPool* pool = nullptr, const CancelToken* cancel = nullptr) {
+  CHECK_GT(chunk_size, 0u);
+  std::vector<std::optional<T>> partials(end > begin ? (end - begin - 1) / chunk_size + 1 : 0);
   ParallelFor(
       begin, end, chunk_size,
       [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t chunk_index) {
         partials[chunk_index].emplace(chunk_fn(chunk_begin, chunk_end, chunk_index));
       },
-      pool);
-  Result acc = std::move(init);
+      pool, cancel);
+  // A token unfired now never fired during the loop, so every chunk ran to its end.
+  if (IsCancelled(cancel)) return CancelledError("cancelled before every chunk ran");
+  T acc = std::move(init);
   for (auto& partial : partials) {
     merge(acc, std::move(*partial));
   }

@@ -1,5 +1,6 @@
 #include "src/faultmodel/joint_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -9,18 +10,25 @@ namespace probcon {
 namespace {
 
 void CheckProbabilityVector(const std::vector<double>& probabilities) {
-  CHECK(!probabilities.empty());
-  CHECK_LE(probabilities.size(), static_cast<size_t>(kMaxConfigurationNodes))
-      << "bitmask configurations support up to " << kMaxConfigurationNodes << " nodes";
-  for (const double p : probabilities) {
-    CHECK(p >= 0.0 && p <= 1.0) << "probability out of range:" << p;
-  }
+  const Status valid = IndependentFailureModel::Validate(probabilities);
+  CHECK(valid.ok()) << valid.ToString();
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // IndependentFailureModel
+
+Status IndependentFailureModel::Validate(const std::vector<double>& probabilities) {
+  const auto in_unit_interval = [](double p) { return p >= 0.0 && p <= 1.0; };  // NaN fails.
+  if (probabilities.empty() || probabilities.size() > size_t{kMaxConfigurationNodes} ||
+      !std::all_of(probabilities.begin(), probabilities.end(), in_unit_interval)) {
+    return InvalidArgumentError("a failure model takes 1 to " +
+                                std::to_string(kMaxConfigurationNodes) +
+                                " nodes, each failing with a probability in [0, 1]");
+  }
+  return Status::Ok();
+}
 
 IndependentFailureModel::IndependentFailureModel(std::vector<double> probabilities)
     : probabilities_(std::move(probabilities)) {

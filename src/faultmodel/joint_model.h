@@ -66,6 +66,9 @@ class IndependentFailureModel final : public JointFailureModel {
  public:
   explicit IndependentFailureModel(std::vector<double> probabilities);
 
+  // The constructor's preconditions: 1 to kMaxConfigurationNodes nodes, each p in [0, 1].
+  static Status Validate(const std::vector<double>& probabilities);
+
   static IndependentFailureModel Uniform(int n, double p);
 
   int n() const override { return static_cast<int>(probabilities_.size()); }

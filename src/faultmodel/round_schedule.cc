@@ -83,15 +83,15 @@ const std::vector<double>& RoundSchedule::RoundProbabilities(int round) const {
 }
 
 std::vector<double> RoundSchedule::CumulativeFailureProbabilities() const {
-  // Track survival in product form; with per-round survivals bounded away from zero this
-  // stays well conditioned without log-space gymnastics.
+  // Sum log survival per node and return -expm1 of it: exact in the small complement,
+  // where 1 - prod(1 - p) would cancel.
   std::vector<double> cumulative(static_cast<size_t>(n()), 0.0);
   for (int i = 0; i < n(); ++i) {
-    double survival = 1.0;
+    double log_survival = 0.0;
     for (int r = 0; r < rounds(); ++r) {
-      survival *= 1.0 - round_probabilities_[r][i];
+      log_survival += std::log1p(-round_probabilities_[r][i]);
     }
-    cumulative[i] = 1.0 - survival;
+    cumulative[i] = -std::expm1(log_survival);
   }
   return cumulative;
 }

@@ -179,21 +179,13 @@ Result<Vector> Ctmc::TryTransientDistribution(const Vector& initial, double t,
   double log_pmf = -poisson_mean;  // log pmf at k = 0.
   double cumulative = 0.0;
   const int64_t max_terms = static_cast<int64_t>(term_bound);
-  uint64_t unflushed_steps = 0;
+  StridePoll terms(nullptr, options.progress);
   for (int64_t k = 0; k <= max_terms; ++k) {
-    // Each term costs an O(m^2) matrix-vector product, so a per-term poll is already far
-    // coarser than kCancellationPollStride relative to the work done.
+    // Each term costs an O(m^2) matrix-vector product, so the token is polled every term.
     if (IsCancelled(options.cancel)) {
-      if (options.progress != nullptr && unflushed_steps > 0) {
-        options.progress->fetch_add(unflushed_steps, std::memory_order_relaxed);
-      }
       return CancelledError("transient-distribution solve cancelled");
     }
-    if (options.progress != nullptr &&
-        ++unflushed_steps == kCancellationPollStride) {
-      options.progress->fetch_add(unflushed_steps, std::memory_order_relaxed);
-      unflushed_steps = 0;
-    }
+    terms.Tick();
     const double pmf = std::exp(log_pmf);
     for (int s = 0; s < state_count_; ++s) {
       result[s] += pmf * current[s];
@@ -215,9 +207,6 @@ Result<Vector> Ctmc::TryTransientDistribution(const Vector& initial, double t,
     }
     current = std::move(next);
     log_pmf += std::log(poisson_mean) - std::log(static_cast<double>(k) + 1.0);
-  }
-  if (options.progress != nullptr && unflushed_steps > 0) {
-    options.progress->fetch_add(unflushed_steps, std::memory_order_relaxed);
   }
   // Renormalize the truncation remainder.
   double total = 0.0;

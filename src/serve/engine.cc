@@ -100,9 +100,10 @@ Result<Json> RunQuorumSize(const ServeRequest& request, const CancelToken* cance
   return result;
 }
 
-Result<Json> RunPlacement(const ServeRequest& request, const CancelToken* cancel) {
-  Result<PlacementResult> placement =
-      TryOptimizeRackPlacement(request.node_probabilities, request.rack_probabilities, cancel);
+Result<Json> RunPlacement(const ServeRequest& request, const CancelToken* cancel,
+                          const EngineProgress& progress) {
+  Result<PlacementResult> placement = TryOptimizeRackPlacement(
+      request.node_probabilities, request.rack_probabilities, cancel, progress.enum_configs);
   if (!placement.ok()) return placement.status();
   Json result = Json::Object();
   Json rack_of = Json::Array();
@@ -334,7 +335,7 @@ Result<Json> ExecuteRequest(const ServeRequest& request, const CancelToken* canc
     case RequestKind::kQuorumSize:
       return RunQuorumSize(request, cancel);
     case RequestKind::kPlacement:
-      return RunPlacement(request, cancel);
+      return RunPlacement(request, cancel, progress);
     case RequestKind::kEndToEnd:
       return RunEndToEnd(request, cancel, progress);
     case RequestKind::kMonteCarlo:

@@ -23,9 +23,9 @@
 
 namespace probcon::serve {
 
-// Optional progress cells the engines flush into at their cancellation-poll boundaries
-// (kCancellationPollStride), so a live request's advance is visible from outside — the
-// server wires these to the serve.engine.mc_trials / serve.engine.enum_configs counters.
+// Optional progress cells the engines' StridePolls flush into (kCancellationPollStride), so
+// a live request's advance is visible from outside — the server wires these to the
+// serve.engine.mc_trials / serve.engine.enum_configs counters; placement counts there too.
 // Null cells disable the corresponding instrumentation; progress never feeds back into any
 // computed value.
 struct EngineProgress {

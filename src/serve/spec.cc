@@ -47,16 +47,6 @@ constexpr int kMaxScheduleRounds = 512;
 constexpr double kMaxMissionHours = 1e7;     // ~1141 years
 constexpr double kMaxUniformizationCost = 2e9;  // Poisson terms * m^2 flop budget
 
-Status CheckProbabilities(const std::vector<double>& probabilities, std::string_view field) {
-  for (double p : probabilities) {
-    if (!(p >= 0.0 && p <= 1.0)) {  // negated to catch NaN
-      return InvalidArgumentError(std::string(kWhat) + ": " + std::string(field) +
-                                  " entries must lie in [0, 1], got " + FormatDouble(p));
-    }
-  }
-  return Status::Ok();
-}
-
 // An engine precondition's Status, worded like every other edge error.
 Status EdgeError(const Status& status) {
   if (status.ok()) return status;
@@ -412,7 +402,6 @@ Result<FaultSpec> FaultSpec::FromJson(const Json* json, int default_n, double de
   std::vector<double> probabilities;
   RETURN_IF_ERROR(JsonReadDoubleList(*json, "probabilities", &probabilities, kWhat));
   if (!probabilities.empty()) {
-    RETURN_IF_ERROR(CheckProbabilities(probabilities, "fault.probabilities"));
     spec.probabilities = std::move(probabilities);
   } else if (const Json* curve_json = json->Find("curve"); curve_json != nullptr) {
     Result<std::unique_ptr<FaultCurve>> curve = CurveFromJson(*curve_json);
@@ -454,17 +443,10 @@ Result<FaultSpec> FaultSpec::FromJson(const Json* json, int default_n, double de
       return InvalidArgumentError(std::string(kWhat) + ": uniform fault spec requires n > 0");
     }
     RETURN_IF_ERROR(CheckMaxNodes(n));
-    if (!(p >= 0.0 && p <= 1.0)) {
-      return InvalidArgumentError(std::string(kWhat) +
-                                  ": uniform fault spec requires p in [0, 1]");
-    }
     spec = Uniform(n, p);
   }
 
-  if (spec.probabilities.empty()) {
-    return InvalidArgumentError(std::string(kWhat) + ": fault spec resolves to zero nodes");
-  }
-  RETURN_IF_ERROR(CheckMaxNodes(spec.n()));
+  RETURN_IF_ERROR(EdgeError(IndependentFailureModel::Validate(spec.probabilities)));
   return spec;
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -14,6 +15,17 @@
 
 namespace probcon {
 namespace {
+
+// Waits, with a generous bound, until `progress` reads non-zero: the engine is then inside
+// a running chunk, so the cancel that follows must be seen by a poll there. False on
+// timeout, which fails the test instead of hanging it.
+bool WaitForProgress(const std::atomic<uint64_t>& progress) {
+  for (int naps = 0; naps < 60'000; ++naps) {  // At least a minute of 1 ms naps.
+    if (progress.load() > 0) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
 
 TEST(Cancellation, PreFiredTokenCancelsExactEnumeration) {
   // n = 20 forces the 2^n exact path to do real work; a pre-cancelled token must stop it
@@ -51,19 +63,21 @@ TEST(Cancellation, MidFlightCancelStopsALongMonteCarloRun) {
   MonteCarloOptions options;
   options.trials = uint64_t{1} << 30;  // minutes of work if allowed to finish
   CancelToken token;
+  std::atomic<uint64_t> trials{0};
   options.cancel = &token;
+  options.progress = &trials;
 
-  std::atomic<bool> finished{false};
   std::thread runner([&] {
     const auto result =
         analyzer.TryEstimateEventProbability(MakeRaftLivePredicate(config), options);
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-    finished.store(true);
   });
+  const bool started = WaitForProgress(trials);
   token.Cancel();
   runner.join();
-  EXPECT_TRUE(finished.load());
+  EXPECT_TRUE(started) << "no trial was counted within the wait bound";
+  EXPECT_LT(trials.load(), options.trials);
 }
 
 TEST(Cancellation, PreFiredTokenCancelsPlacementSearch) {
@@ -79,17 +93,17 @@ TEST(Cancellation, MidFlightCancelStopsALongPlacementSearch) {
   // The largest admitted search: 5^10 assignments, each a 2^10 enumeration nested inside
   // the search's own ParallelReduce — far too long to finish if the token were ignored.
   CancelToken token;
-  std::atomic<bool> finished{false};
+  std::atomic<uint64_t> configurations{0};
   std::thread runner([&] {
-    const auto result = TryOptimizeRackPlacement(std::vector<double>(10, 0.01),
-                                                 std::vector<double>(5, 0.001), &token);
+    const auto result = TryOptimizeRackPlacement(
+        std::vector<double>(10, 0.01), std::vector<double>(5, 0.001), &token, &configurations);
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-    finished.store(true);
   });
+  const bool started = WaitForProgress(configurations);
   token.Cancel();
   runner.join();
-  EXPECT_TRUE(finished.load());
+  EXPECT_TRUE(started) << "no configuration was counted within the wait bound";
 }
 
 TEST(Cancellation, UncancelledTryApisMatchThePlainApisBitForBit) {
@@ -141,11 +155,13 @@ TEST(Cancellation, UncancelledTryApisMatchThePlainApisBitForBit) {
   const std::vector<double> nodes = {0.01, 0.02, 0.005, 0.01, 0.03};
   const std::vector<double> racks = {0.002, 0.01, 0.004};
   const PlacementResult plain_placement = OptimizeRackPlacement(nodes, racks);
-  const auto tracked_placement = TryOptimizeRackPlacement(nodes, racks, &unfired);
+  std::atomic<uint64_t> configurations{0};
+  const auto tracked_placement = TryOptimizeRackPlacement(nodes, racks, &unfired, &configurations);
   ASSERT_TRUE(tracked_placement.ok());
   EXPECT_EQ(tracked_placement->rack_of, plain_placement.rack_of);
   EXPECT_EQ(tracked_placement->safe_and_live.complement(),
             plain_placement.safe_and_live.complement());
+  EXPECT_EQ(configurations.load(), 243u * 32u);  // r^n assignments, 2^n configurations each.
 }
 
 }  // namespace

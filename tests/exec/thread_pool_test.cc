@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/cancellation.h"
+#include "src/common/status.h"
 #include "src/exec/parallel.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
@@ -230,6 +232,55 @@ TEST(ParallelForTest, LowestChunkExceptionWinsAndPoolSurvives) {
   }
 }
 
+TEST(ParallelForTest, StopsHandingOutChunksOnceTheTokenFires) {
+  constexpr uint64_t kChunks = 1000;
+  constexpr uint64_t kFiringChunk = 10;
+  for (const int workers : {0, 1, 4}) {
+    ThreadPool pool(workers);
+    CancelToken token;
+    std::atomic<bool> fired{false};
+    std::atomic<int> started_after_fire{0};
+    std::vector<std::atomic<bool>> ran(kChunks);
+    ParallelFor(
+        0, kChunks, 1,
+        [&](uint64_t, uint64_t, uint64_t chunk) {
+          if (fired.load()) started_after_fire.fetch_add(1);
+          ran[chunk].store(true);
+          if (chunk == kFiringChunk) {
+            token.Cancel();
+            fired.store(true);
+          }
+        },
+        &pool, &token);
+    EXPECT_TRUE(ran[kFiringChunk].load()) << "workers=" << workers;
+    if (workers == 0) {
+      for (uint64_t chunk = 0; chunk < kChunks; ++chunk) {
+        EXPECT_EQ(ran[chunk].load(), chunk <= kFiringChunk) << "chunk=" << chunk;
+      }
+    } else {
+      // Each other participant may have claimed and polled a chunk just before the fire.
+      EXPECT_LE(started_after_fire.load(), workers + 1) << "workers=" << workers;
+    }
+
+    CancelToken pre_fired;
+    pre_fired.Cancel();
+    std::atomic<int> chunks_run{0};
+    const auto count_chunk = [&](uint64_t, uint64_t, uint64_t) {
+      chunks_run.fetch_add(1);
+      return 1;
+    };
+    ParallelFor(
+        0, kChunks, 1, [&](uint64_t b, uint64_t e, uint64_t c) { count_chunk(b, e, c); },
+        &pool, &pre_fired);
+    const Result<int> reduced = ParallelReduce<int>(
+        0, kChunks, 1, 0, count_chunk, [](int& acc, int partial) { acc += partial; }, &pool,
+        &pre_fired);
+    EXPECT_EQ(chunks_run.load(), 0) << "workers=" << workers;
+    ASSERT_FALSE(reduced.ok());
+    EXPECT_EQ(reduced.status().code(), StatusCode::kCancelled);
+  }
+}
+
 TEST(ParallelReduceTest, KahanSumBitIdenticalAcrossWorkerCounts) {
   // An adversarial mix of magnitudes: naive reassociation would change the result, the
   // chunk-ordered Kahan merge must not.
@@ -247,7 +298,7 @@ TEST(ParallelReduceTest, KahanSumBitIdenticalAcrossWorkerCounts) {
   for (const int workers : {0, 1, 2, 8}) {
     ThreadPool pool(workers);
     const KahanSum total =
-        ParallelReduce<KahanSum>(0, 100'000, 1024, KahanSum(), chunk_fn, merge, &pool);
+        *ParallelReduce<KahanSum>(0, 100'000, 1024, KahanSum(), chunk_fn, merge, &pool);
     if (!have_reference) {
       reference = total.Total();
       have_reference = true;

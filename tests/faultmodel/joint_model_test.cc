@@ -66,6 +66,19 @@ TEST(IndependentModelTest, UniformFactory) {
   }
 }
 
+TEST(IndependentModelTest, ValidateAcceptsTheLimitsAndRejectsOnePast) {
+  EXPECT_TRUE(IndependentFailureModel::Validate({0.5}).ok());
+  EXPECT_TRUE(IndependentFailureModel::Validate(std::vector<double>(64, 0.5)).ok());
+  EXPECT_TRUE(IndependentFailureModel::Validate({0.0, 1.0}).ok());
+
+  EXPECT_FALSE(IndependentFailureModel::Validate({}).ok());
+  EXPECT_FALSE(IndependentFailureModel::Validate(std::vector<double>(65, 0.5)).ok());
+  EXPECT_FALSE(
+      IndependentFailureModel::Validate({std::numeric_limits<double>::quiet_NaN()}).ok());
+  EXPECT_FALSE(IndependentFailureModel::Validate({-1e-300}).ok());
+  EXPECT_FALSE(IndependentFailureModel::Validate({1.0 + 0x1p-52}).ok());
+}
+
 TEST(CommonCauseModelTest, ConfigurationsSumToOne) {
   ExpectConfigurationsSumToOne(
       CommonCauseFailureModel({0.01, 0.02, 0.03, 0.04}, 0.1, {0.5, 0.5, 0.9, 0.2}));

@@ -326,6 +326,30 @@ TEST(LifecycleServe, MissionReliabilityScheduleMode) {
   ASSERT_NE(response->result.Find("final_cumulative"), nullptr);
 }
 
+TEST(LifecycleServe, ScheduleCumulativeKeepsItsSmallComplement) {
+  // PBFT n = 4 over 512 rounds of p = 1e-12: each node's cumulative failure probability is
+  // about 5.1e-10 and the unsafe probability (2 or more failed) about 1.6e-18. The reference
+  // is exact, from Python's fractions module:
+  //   q = 1 - (1 - Fraction(1e-12))**512
+  //   float(sum(comb(4, k) * q**k * (1 - q)**(4 - k) for k in range(2, 5)))
+  std::string rounds;
+  for (int r = 0; r < 512; ++r) {
+    rounds += std::string(r == 0 ? "" : ", ") + "[1e-12, 1e-12, 1e-12, 1e-12]";
+  }
+  const auto request = Parse("mission_reliability",
+                             R"({"protocol": "pbft", "schedule": {"round_hours": 1, )"
+                             R"("round_probabilities": [)" + rounds + "]}}");
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  const Result<Json> result = ExecuteRequest(*request, nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Json* cumulative = result->Find("final_cumulative");
+  ASSERT_NE(cumulative, nullptr);
+  const Json* unsafe = cumulative->Find("unsafe_probability");
+  ASSERT_NE(unsafe, nullptr);
+  constexpr double kExact = 1.5728639981225247e-18;
+  EXPECT_NEAR(unsafe->NumberValue(), kExact, 1e-12 * kExact);
+}
+
 TEST(LifecycleServe, MissionReliabilityFleetMode) {
   QueryServer server(ServerOptions{});
   ServeClient client(std::make_unique<LoopbackChannel>(server));

@@ -9,6 +9,8 @@
 #      result object,
 #   3b. issue a fleet-lifecycle `availability` query, pin it to the independent-node
 #      closed form, and require its repeat to hit the memo cache,
+#   3c. run a placement search and require serve.engine.enum_configs to grow by exactly
+#      its r^n * 2^n configurations,
 #   4. pipeline a --concurrency batch through one connection and require every response
 #      to come back, matched to a distinct request id, with the same result object,
 #   5. fire a 1 ms deadline at a 2^30-trial Monte Carlo request and a 50 ms deadline at the
@@ -152,6 +154,20 @@ canon = lambda value: json.dumps(value, sort_keys=True)
 assert len(results) == 2, f"expected 2 responses, got {len(results)}"
 assert canon(results[0]) == canon(results[1]) == canon(first)
 EOF
+
+# Work counts: a completed placement search with n = 5 and r = 3 enumerates 2^5
+# configurations for each of its 3^5 assignments, so serve.engine.enum_configs must grow
+# by exactly 7,776.
+enum_configs() {
+  "${CLI}" --port "${PORT}" stats | python3 -c 'import json, sys
+print(json.load(sys.stdin)["result"]["metrics"]["counters"].get("serve.engine.enum_configs", 0))'
+}
+ENUM_BEFORE="$(enum_configs)"
+"${CLI}" --port "${PORT}" placement '{"node_probabilities": [0.01, 0.02, 0.005, 0.01, 0.03],
+  "rack_probabilities": [0.002, 0.01, 0.004]}' >/dev/null || fail "placement query errored"
+ENUM_AFTER="$(enum_configs)"
+[ "$((ENUM_AFTER - ENUM_BEFORE))" = 7776 ] \
+  || fail "placement n=5 r=3 added $((ENUM_AFTER - ENUM_BEFORE)) enum_configs, want 7776"
 
 # Deadlines: a 2^30-trial Monte Carlo run under a 1 ms deadline must come back
 # DEADLINE_EXCEEDED promptly (dedicated exit code 4), not wedge the daemon.

@@ -30,16 +30,16 @@ struct BestAssignment {
 
 constexpr uint64_t kPlacementChunk = 64;
 
-// Standard-quorum Raft report of one assignment, by enumerating its 2^n configurations.
+// Standard-quorum Raft report of one assignment: kAuto sends the count-only liveness
+// predicate to the count DP over the FailureDomainModel's count law.
 Result<ReliabilityReport> TryEvaluate(const std::vector<double>& node_base_probabilities,
                                       const std::vector<double>& rack_probabilities,
-                                      const std::vector<int>& rack_of, const CancelToken* cancel,
-                                      std::atomic<uint64_t>* progress) {
+                                      const std::vector<int>& rack_of, const CancelToken* cancel) {
   CHECK_EQ(rack_of.size(), node_base_probabilities.size());
   const ReliabilityAnalyzer analyzer(std::make_unique<FailureDomainModel>(
       node_base_probabilities, rack_of, rack_probabilities));
   return TryAnalyzeRaft(RaftConfig::Standard(static_cast<int>(rack_of.size())), analyzer,
-                        AnalysisMethod::kAuto, cancel, progress);
+                        AnalysisMethod::kAuto, cancel);
 }
 
 }  // namespace
@@ -66,7 +66,7 @@ Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabili
                                   const std::vector<double>& rack_probabilities,
                                   const std::vector<int>& rack_of) {
   // Without a token the evaluation cannot fail; Result's accessor CHECKs that it did not.
-  return TryEvaluate(node_base_probabilities, rack_probabilities, rack_of, nullptr, nullptr)
+  return TryEvaluate(node_base_probabilities, rack_probabilities, rack_of, nullptr)
       ->safe_and_live;
 }
 
@@ -84,24 +84,27 @@ Result<PlacementResult> TryOptimizeRackPlacement(
   }
   // Chunked argmax over the r^n assignment space. Per-chunk winners keep the earliest
   // index among equals (strict > to replace), and chunks merge in ascending order with a
-  // strict < comparison, so ties resolve to the lowest assignment index — exactly the
-  // assignment the sequential odometer found first. Each assignment's enumeration takes
-  // `cancel` and `progress`: its executor polls the token before it starts, and a cancelled
-  // assignment ends the chunk, whose partial winner ParallelReduce then discards.
+  // strict < comparison, so of bitwise-equal results the lowest assignment index wins —
+  // exactly the assignment the sequential odometer found first. Assignments that tie only
+  // in exact arithmetic compare by their rounded results. Each evaluation polls `cancel`
+  // before it starts, and a cancelled assignment ends the chunk, whose partial winner
+  // ParallelReduce then discards; the chunk's StridePoll counts evaluated assignments.
   const Result<BestAssignment> best = ParallelReduce<BestAssignment>(
       0, total, kPlacementChunk, BestAssignment{},
       [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t /*chunk_index*/) {
         BestAssignment chunk_best;
+        StridePoll poll(cancel, progress);
         for (uint64_t index = chunk_begin; index < chunk_end; ++index) {
           const Result<ReliabilityReport> candidate =
               TryEvaluate(node_base_probabilities, rack_probabilities,
-                          DecodeAssignment(index, n, racks), cancel, progress);
+                          DecodeAssignment(index, n, racks), cancel);
           if (!candidate.ok()) break;
           if (!chunk_best.valid || chunk_best.safe_and_live < candidate->safe_and_live) {
             chunk_best.safe_and_live = candidate->safe_and_live;
             chunk_best.index = index;
             chunk_best.valid = true;
           }
+          if (!poll.Tick()) break;
         }
         return chunk_best;
       },

@@ -5,7 +5,9 @@
 // probability), WHICH assignment maximizes the cluster's safe-and-live probability? Small
 // clusters admit exhaustive search over assignments; the search space collapses by rack
 // symmetry only when racks are identical, so we search assignments directly (r^n, pruned by
-// fixing node 0's rack when racks are exchangeable is left to callers).
+// fixing node 0's rack when racks are exchangeable is left to callers). Raft's standard
+// quorum depends on the failure count alone, so each assignment is one count query on its
+// FailureDomainModel's count law: O(n^2), not a 2^n enumeration.
 
 #ifndef PROBCON_SRC_ANALYSIS_PLACEMENT_H_
 #define PROBCON_SRC_ANALYSIS_PLACEMENT_H_
@@ -26,7 +28,7 @@ struct PlacementResult {
   Probability safe_and_live;
 };
 
-// The exhaustive search's limits: r^n assignments, each a 2^n enumeration.
+// The exhaustive search's limits: r^n assignments, each an O(n^2) count law.
 inline constexpr int kMaxPlacementNodes = 10;
 inline constexpr int kMaxPlacementRacks = 5;
 
@@ -41,10 +43,13 @@ Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabili
                                   const std::vector<double>& rack_probabilities,
                                   const std::vector<int>& rack_of);
 
-// Exhaustive search over all r^n rack assignments; ties go to the lowest assignment index.
-// CHECKs ValidateRackPlacement. Each assignment's 2^n enumeration polls `cancel` before it
-// starts (kCancelled once it fires) and counts into `progress`: r^n * 2^n configurations
-// for a finished search. The plain form CHECKs the cancellable one.
+// Exhaustive search over all r^n rack assignments. Of assignments whose results are equal
+// bit for bit, the lowest assignment index wins. Assignments that tie only in exact
+// arithmetic (say, two that put the same node probabilities in each rack) are told apart
+// by rounding, so which of them wins may change with the arithmetic of the evaluation.
+// CHECKs ValidateRackPlacement. Each assignment polls `cancel` before it is evaluated
+// (kCancelled once it fires) and is counted into `progress` through its chunk's StridePoll:
+// r^n for a finished search. The plain form CHECKs the cancellable one.
 Result<PlacementResult> TryOptimizeRackPlacement(
     const std::vector<double>& node_base_probabilities,
     const std::vector<double>& rack_probabilities, const CancelToken* cancel = nullptr,

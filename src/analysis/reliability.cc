@@ -5,7 +5,6 @@
 #include "src/common/check.h"
 #include "src/exec/parallel.h"
 #include "src/prob/kahan.h"
-#include "src/prob/poisson_binomial.h"
 #include "src/quorum/quorum_system.h"
 
 namespace probcon {
@@ -33,19 +32,20 @@ Probability MassVerdict(const KahanSum& holds_mass, const KahanSum& fails_mass) 
   return Probability::FromProbability(std::max(0.0, holds));
 }
 
-// Evaluates a count predicate against the Poisson-binomial failure-count law. O(N) given
-// the precomputed law, so it runs serially.
-Probability CountDpProbability(const FailurePredicate& predicate, const PoissonBinomial& counts,
-                               int n) {
+// Evaluates a count predicate against a failure-count law (`pmf[k]` = P(k failures)). O(N)
+// given the precomputed law, so it runs serially.
+Probability CountDpProbability(const FailurePredicate& predicate,
+                               const std::vector<double>& pmf) {
+  const int n = static_cast<int>(pmf.size()) - 1;
   KahanSum holds_mass;
   KahanSum fails_mass;
   for (int k = 0; k <= n; ++k) {
     const auto verdict = predicate.HoldsForCount(k, n);
     CHECK(verdict.has_value());
     if (*verdict) {
-      holds_mass.Add(counts.Pmf(k));
+      holds_mass.Add(pmf[k]);
     } else {
-      fails_mass.Add(counts.Pmf(k));
+      fails_mass.Add(pmf[k]);
     }
   }
   return MassVerdict(holds_mass, fails_mass);
@@ -109,12 +109,10 @@ ReliabilityAnalyzer& ReliabilityAnalyzer::operator=(ReliabilityAnalyzer&& other)
   return *this;
 }
 
-const PoissonBinomial& ReliabilityAnalyzer::CountLaw() const {
-  const auto* independent = dynamic_cast<const IndependentFailureModel*>(model_.get());
-  CHECK(independent != nullptr) << "count law requires an independent model";
+const std::optional<std::vector<double>>& ReliabilityAnalyzer::CountLaw() const {
   std::lock_guard<std::mutex> lock(count_law_mutex_);
   if (count_law_ == nullptr) {
-    count_law_ = std::make_shared<const PoissonBinomial>(independent->probabilities());
+    count_law_ = std::make_shared<const std::optional<std::vector<double>>>(model_->CountLaw());
   }
   return *count_law_;
 }
@@ -139,11 +137,10 @@ Probability ReliabilityAnalyzer::EventProbability(const FailurePredicate& predic
 Result<Probability> ReliabilityAnalyzer::TryEventProbability(
     const FailurePredicate& predicate, AnalysisMethod method, const CancelToken* cancel,
     std::atomic<uint64_t>* progress) const {
-  const auto* independent = dynamic_cast<const IndependentFailureModel*>(model_.get());
   const bool count_only = predicate.HoldsForCount(0, n()).has_value();
 
   if (method == AnalysisMethod::kAuto) {
-    if (count_only && independent != nullptr) {
+    if (count_only && CountLaw().has_value()) {
       method = AnalysisMethod::kCountDp;
     } else {
       method = AnalysisMethod::kExact;
@@ -153,10 +150,12 @@ Result<Probability> ReliabilityAnalyzer::TryEventProbability(
     return CancelledError("analysis cancelled before start");
   }
   switch (method) {
-    case AnalysisMethod::kCountDp:
+    case AnalysisMethod::kCountDp: {
       CHECK(count_only) << "predicate is not count-only";
-      CHECK(independent != nullptr) << "count DP requires an independent model";
-      return CountDpProbability(predicate, CountLaw(), n());
+      const std::optional<std::vector<double>>& law = CountLaw();
+      CHECK(law.has_value()) << "model" << model_->Describe() << "has no count law";
+      return CountDpProbability(predicate, *law);
+    }
     case AnalysisMethod::kExact:
       return ExactEnumerationProbability(predicate, *model_, cancel, progress);
     case AnalysisMethod::kMonteCarlo: {

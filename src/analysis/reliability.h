@@ -12,13 +12,17 @@
 //   kExact       2^N enumeration over failure configurations. Handles predicates that depend
 //                on WHICH nodes failed and any model with exact configuration probabilities.
 //                Practical to N ~ 25.
-//   kCountDp     Poisson-binomial dynamic program over the failure count. Requires a
-//                count-only predicate and an independent model. O(N^2), any N. This covers
-//                Theorems 3.1/3.2 and is the path that regenerates Tables 1 and 2.
+//   kCountDp     Sums a count-only predicate over the model's failure-count law
+//                (JointFailureModel::CountLaw): an O(N^2) dynamic program, any N, for every
+//                model with a law — independent nodes (the Poisson-binomial) and failure
+//                domains. This covers Theorems 3.1/3.2, regenerates Tables 1 and 2, and
+//                evaluates each assignment of the placement search.
 //   kMonteCarlo  Sampling with a Wilson confidence interval. The only option for correlated
 //                models without closed-form configuration probabilities, or N > 25.
 //
-// kAuto picks the cheapest applicable strategy.
+// kAuto picks the cheapest applicable strategy: the count DP for a count-only predicate on
+// a model with a count law, enumeration otherwise (common-cause and beta-binomial models
+// keep enumerating until their laws land).
 
 #ifndef PROBCON_SRC_ANALYSIS_RELIABILITY_H_
 #define PROBCON_SRC_ANALYSIS_RELIABILITY_H_
@@ -30,6 +34,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/analysis/protocol_spec.h"
 #include "src/common/cancellation.h"
@@ -40,8 +45,6 @@
 #include "src/prob/probability.h"
 
 namespace probcon {
-
-class PoissonBinomial;
 
 // A predicate over failure configurations (true = the property, e.g. "safe", holds).
 class FailurePredicate {
@@ -150,17 +153,17 @@ class ReliabilityAnalyzer {
   Result<ConfidenceInterval> TryEstimateEventProbability(
       const FailurePredicate& predicate, const MonteCarloOptions& options = {}) const;
 
-  // The Poisson-binomial failure-count law of the independent model, built on first use
-  // and shared by every count-DP evaluation against this analyzer (AnalyzePbft evaluates
-  // three predicates per report; all three hit the same table). Thread-safe; CHECK-fails
-  // for non-independent models.
-  const PoissonBinomial& CountLaw() const;
+  // The model's failure-count law (JointFailureModel::CountLaw), or its absence, built on
+  // first use and shared by every count-DP evaluation against this analyzer (AnalyzePbft
+  // evaluates three predicates per report; all three read the same table). Thread-safe.
+  const std::optional<std::vector<double>>& CountLaw() const;
 
  private:
   std::unique_ptr<JointFailureModel> model_;
-  // Lazy-init lock for the count law. LEAF: held only around the table build/lookup.
+  // Lazy-init lock for the count law. LEAF: held only around the law's build/lookup.
   mutable std::mutex count_law_mutex_;
-  mutable std::shared_ptr<const PoissonBinomial> count_law_
+  // Null until first use; then the law or nullopt.
+  mutable std::shared_ptr<const std::optional<std::vector<double>>> count_law_
       PROBCON_GUARDED_BY(count_law_mutex_);
 };
 

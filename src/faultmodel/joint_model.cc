@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/prob/poisson_binomial.h"
 
 namespace probcon {
 namespace {
@@ -62,6 +63,10 @@ std::optional<double> IndependentFailureModel::ConfigurationProbability(
     prob *= NodeFailed(config, i) ? probabilities_[i] : (1.0 - probabilities_[i]);
   }
   return prob;
+}
+
+std::optional<std::vector<double>> IndependentFailureModel::CountLaw() const {
+  return PoissonBinomialPmf(probabilities_);
 }
 
 std::string IndependentFailureModel::Describe() const {
@@ -148,29 +153,31 @@ FailureDomainModel::FailureDomainModel(std::vector<double> base_probabilities,
                                        std::vector<double> domain_probabilities)
     : base_probabilities_(std::move(base_probabilities)),
       domain_of_(std::move(domain_of)),
-      domain_probabilities_(std::move(domain_probabilities)) {
+      domain_probabilities_(std::move(domain_probabilities)),
+      domain_members_(domain_probabilities_.size(), 0) {
   CheckProbabilityVector(base_probabilities_);
   CHECK_EQ(domain_of_.size(), base_probabilities_.size());
   CHECK(!domain_probabilities_.empty());
   for (const double p : domain_probabilities_) {
     CHECK(p >= 0.0 && p <= 1.0);
   }
-  for (const int d : domain_of_) {
+  for (int i = 0; i < n(); ++i) {
+    const int d = domain_of_[i];
     CHECK(d >= 0 && d < domain_count()) << "domain id out of range:" << d;
+    domain_members_[d] |= FailureConfiguration{1} << i;
   }
 }
 
 FailureConfiguration FailureDomainModel::Sample(Rng& rng) const {
-  uint64_t failed_domains = 0;
+  FailureConfiguration down = 0;
   for (int d = 0; d < domain_count(); ++d) {
     if (rng.NextBernoulli(domain_probabilities_[d])) {
-      failed_domains |= uint64_t{1} << d;
+      down |= domain_members_[d];
     }
   }
-  FailureConfiguration config = 0;
+  FailureConfiguration config = down;
   for (int i = 0; i < n(); ++i) {
-    const bool domain_down = (failed_domains >> domain_of_[i]) & 1u;
-    if (domain_down || rng.NextBernoulli(base_probabilities_[i])) {
+    if (!NodeFailed(down, i) && rng.NextBernoulli(base_probabilities_[i])) {
       config |= FailureConfiguration{1} << i;
     }
   }
@@ -186,30 +193,44 @@ double FailureDomainModel::MarginalFailureProbability(int node) const {
 
 std::optional<double> FailureDomainModel::ConfigurationProbability(
     FailureConfiguration config) const {
-  const int domains = domain_count();
-  if (domains > 20) {
-    return std::nullopt;  // 2^D enumeration would be too expensive.
+  // Without its event a domain's members fail as their base draws say; with it, all fail.
+  double prob = 1.0;
+  for (int d = 0; d < domain_count(); ++d) {
+    const FailureConfiguration members = domain_members_[d];
+    if (members == 0) continue;  // An empty domain's factor is (1 - q) + q.
+    double base = 1.0;
+    for (FailureConfiguration rest = members; rest != 0; rest &= rest - 1) {
+      const int i = __builtin_ctzll(rest);
+      base *= NodeFailed(config, i) ? base_probabilities_[i] : 1.0 - base_probabilities_[i];
+    }
+    const double q = domain_probabilities_[d];
+    prob *= (1.0 - q) * base + ((config & members) == members ? q : 0.0);
   }
-  double total = 0.0;
-  for (uint64_t event = 0; event < (uint64_t{1} << domains); ++event) {
-    double prob = 1.0;
-    for (int d = 0; d < domains; ++d) {
-      prob *= ((event >> d) & 1u) ? domain_probabilities_[d] : 1.0 - domain_probabilities_[d];
+  return prob;
+}
+
+std::optional<std::vector<double>> FailureDomainModel::CountLaw() const {
+  // Convolve domain by domain: fold in the members' base failures, then mix with the
+  // domain's event, which moves the law as it stood before the domain up by its size.
+  // Every entry stays a sum of products of non-negative terms, so both tails keep their
+  // relative precision.
+  std::vector<double> pmf(static_cast<size_t>(n()) + 1, 0.0);
+  pmf[0] = 1.0;
+  int counted = 0;
+  for (int d = 0; d < domain_count(); ++d) {
+    const FailureConfiguration members = domain_members_[d];
+    if (members == 0) continue;
+    const std::vector<double> before(pmf.begin(), pmf.begin() + counted + 1);
+    for (FailureConfiguration rest = members; rest != 0; rest &= rest - 1) {
+      AddNodeToCountLaw(pmf, counted++, base_probabilities_[__builtin_ctzll(rest)]);
     }
-    if (prob == 0.0) {
-      continue;
+    const double q = domain_probabilities_[d];
+    const int size = CountFailures(members);
+    for (int k = 0; k <= counted; ++k) {
+      pmf[k] = (1.0 - q) * pmf[k] + (k >= size ? q * before[k - size] : 0.0);
     }
-    for (int i = 0; i < n() && prob > 0.0; ++i) {
-      const bool domain_down = (event >> domain_of_[i]) & 1u;
-      if (NodeFailed(config, i)) {
-        prob *= domain_down ? 1.0 : base_probabilities_[i];
-      } else {
-        prob *= domain_down ? 0.0 : 1.0 - base_probabilities_[i];
-      }
-    }
-    total += prob;
   }
-  return total;
+  return pmf;
 }
 
 std::string FailureDomainModel::Describe() const {

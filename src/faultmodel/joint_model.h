@@ -11,7 +11,9 @@
 // Configurations are bitmasks: bit i set means node i failed during the window, so a model
 // covers at most kMaxConfigurationNodes nodes.
 // Models expose exact per-configuration probabilities where tractable, so they compose with
-// the exact enumeration analyzer as well as the Monte Carlo one.
+// the exact enumeration analyzer as well as the Monte Carlo one. A model whose failure count
+// has an exact law also exposes it (CountLaw), so count-only predicates — Theorems 3.1/3.2 —
+// cost O(N^2) instead of 2^N: today the independent and failure-domain models.
 
 #ifndef PROBCON_SRC_FAULTMODEL_JOINT_MODEL_H_
 #define PROBCON_SRC_FAULTMODEL_JOINT_MODEL_H_
@@ -57,6 +59,10 @@ class JointFailureModel {
     return std::nullopt;
   }
 
+  // Exact failure-count law: entry k is P(exactly k nodes fail), k in [0, n]. nullopt when
+  // the model has none, which leaves count-only predicates to enumeration or sampling.
+  virtual std::optional<std::vector<double>> CountLaw() const { return std::nullopt; }
+
   virtual std::string Describe() const = 0;
   virtual std::unique_ptr<JointFailureModel> Clone() const = 0;
 };
@@ -75,6 +81,8 @@ class IndependentFailureModel final : public JointFailureModel {
   FailureConfiguration Sample(Rng& rng) const override;
   double MarginalFailureProbability(int node) const override;
   std::optional<double> ConfigurationProbability(FailureConfiguration config) const override;
+  // The Poisson-binomial pmf of the node probabilities.
+  std::optional<std::vector<double>> CountLaw() const override;
   std::string Describe() const override;
   std::unique_ptr<JointFailureModel> Clone() const override;
 
@@ -107,7 +115,8 @@ class CommonCauseFailureModel final : public JointFailureModel {
 };
 
 // Nodes live in failure domains (racks / power zones); a domain event fails every member.
-// On top of that, nodes fail independently with their base probabilities.
+// On top of that, nodes fail independently with their base probabilities. Domains are
+// disjoint and their events independent, so every exact quantity factors over them.
 class FailureDomainModel final : public JointFailureModel {
  public:
   // `domain_of[i]` is node i's domain id in [0, #domains); `domain_probabilities[d]` is the
@@ -118,8 +127,10 @@ class FailureDomainModel final : public JointFailureModel {
   int n() const override { return static_cast<int>(base_probabilities_.size()); }
   FailureConfiguration Sample(Rng& rng) const override;
   double MarginalFailureProbability(int node) const override;
-  // Exact by enumerating domain-event subsets; intended for #domains <= ~20.
+  // A product over domains, O(n + #domains).
   std::optional<double> ConfigurationProbability(FailureConfiguration config) const override;
+  // Each domain's Poisson-binomial step over its members, mixed with its event; O(n^2).
+  std::optional<std::vector<double>> CountLaw() const override;
   std::string Describe() const override;
   std::unique_ptr<JointFailureModel> Clone() const override;
 
@@ -129,6 +140,7 @@ class FailureDomainModel final : public JointFailureModel {
   std::vector<double> base_probabilities_;
   std::vector<int> domain_of_;
   std::vector<double> domain_probabilities_;
+  std::vector<FailureConfiguration> domain_members_;  // Bit i of entry d: node i is in d.
 };
 
 // Exchangeable correlation: a window-wide failure level p is drawn from Beta(alpha, beta) and

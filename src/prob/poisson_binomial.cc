@@ -12,18 +12,24 @@ PoissonBinomial::PoissonBinomial(std::vector<double> probabilities)
   for (const double p : probabilities_) {
     CHECK(p >= 0.0 && p <= 1.0) << "node failure probability out of range:" << p;
   }
-  // Standard convolution DP. pmf after adding node with failure prob p:
-  //   pmf'[k] = pmf[k] * (1-p) + pmf[k-1] * p
-  pmf_.assign(probabilities_.size() + 1, 0.0);
-  pmf_[0] = 1.0;
-  int upper = 0;
-  for (const double p : probabilities_) {
-    ++upper;
-    for (int k = upper; k >= 1; --k) {
-      pmf_[k] = pmf_[k] * (1.0 - p) + pmf_[k - 1] * p;
-    }
-    pmf_[0] *= (1.0 - p);
+  pmf_ = PoissonBinomialPmf(probabilities_);
+}
+
+std::vector<double> PoissonBinomialPmf(const std::vector<double>& probabilities) {
+  std::vector<double> pmf(probabilities.size() + 1, 0.0);
+  pmf[0] = 1.0;
+  int counted = 0;
+  for (const double p : probabilities) {
+    AddNodeToCountLaw(pmf, counted++, p);
   }
+  return pmf;
+}
+
+void AddNodeToCountLaw(std::vector<double>& pmf, int counted, double p) {
+  for (int k = counted + 1; k >= 1; --k) {
+    pmf[k] = pmf[k] * (1.0 - p) + pmf[k - 1] * p;
+  }
+  pmf[0] *= (1.0 - p);
 }
 
 double PoissonBinomial::Pmf(int k) const {

@@ -42,6 +42,14 @@ class PoissonBinomial {
   std::vector<double> pmf_;  // pmf_[k] = P(X == k), k in [0, n].
 };
 
+// The law's pmf, entry k = P(X == k) for k in [0, n], by the convolution DP below.
+std::vector<double> PoissonBinomialPmf(const std::vector<double>& probabilities);
+
+// The DP's step: folds one more node, failing with probability `p`, into `pmf`, the law of
+// the `counted` nodes folded so far (`pmf` holds at least counted + 2 entries):
+//   pmf'[k] = pmf[k] * (1-p) + pmf[k-1] * p,  k in [0, counted + 1].
+void AddNodeToCountLaw(std::vector<double>& pmf, int counted, double p);
+
 }  // namespace probcon
 
 #endif  // PROBCON_SRC_PROB_POISSON_BINOMIAL_H_

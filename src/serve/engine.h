@@ -25,12 +25,13 @@ namespace probcon::serve {
 
 // Optional progress cells the engines' StridePolls flush into (kCancellationPollStride), so
 // a live request's advance is visible from outside — the server wires these to the
-// serve.engine.mc_trials / serve.engine.enum_configs counters; placement counts there too.
-// Null cells disable the corresponding instrumentation; progress never feeds back into any
-// computed value.
+// serve.engine.mc_trials / serve.engine.enum_configs counters. Placement counts there too,
+// one per evaluated rack assignment (each a count law, polled once), so a finished search
+// adds r^n. Null cells disable the corresponding instrumentation; progress never feeds back
+// into any computed value.
 struct EngineProgress {
   std::atomic<uint64_t>* mc_trials = nullptr;     // Monte Carlo trials completed.
-  std::atomic<uint64_t>* enum_configs = nullptr;  // exact-enumeration configs evaluated.
+  std::atomic<uint64_t>* enum_configs = nullptr;  // enumerated configs, placement assignments.
   std::atomic<uint64_t>* ctmc_steps = nullptr;    // CTMC solver steps (terms / solves).
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +20,62 @@ TEST(PlacementTest, EvaluateMatchesDirectModel) {
   const auto independent = AnalyzeRaft(
       RaftConfig::Standard(3),
       ReliabilityAnalyzer::ForUniformNodes(3, combined));
-  EXPECT_NEAR(spread.complement(), independent.safe_and_live.complement(), 1e-12);
+  EXPECT_NEAR(spread.complement(), independent.safe_and_live.complement(),
+              1e-12 * independent.safe_and_live.complement());
+}
+
+// Standard-quorum Raft S&L of `rack_of` by enumerating its 2^n configurations.
+Probability EnumeratedSafeAndLive(const std::vector<double>& base,
+                                  const std::vector<double>& racks,
+                                  const std::vector<int>& rack_of) {
+  const ReliabilityAnalyzer analyzer(std::make_unique<FailureDomainModel>(base, rack_of, racks));
+  return AnalyzeRaft(RaftConfig::Standard(static_cast<int>(base.size())), analyzer,
+                     AnalysisMethod::kExact)
+      .safe_and_live;
+}
+
+TEST(PlacementTest, CountLawKeepsTheSmallComplement) {
+  // The exact complement, from rational arithmetic on these doubles, is printed by
+  // tools/exact_complements.py.
+  constexpr double kExactComplement = 7.6132004045369393e-15;
+  const std::vector<double> base = {1e-6, 2e-6, 5e-7, 1e-6, 3e-6, 1e-6, 2e-6};
+  const std::vector<double> racks = {1e-9, 1e-8, 1e-7};
+  const std::vector<int> rack_of = {0, 1, 2, 0, 1, 2, 0};
+  EXPECT_NEAR(EvaluateRackPlacement(base, racks, rack_of).complement(), kExactComplement,
+              1e-12 * kExactComplement);
+  EXPECT_NEAR(EnumeratedSafeAndLive(base, racks, rack_of).complement(), kExactComplement,
+              1e-12 * kExactComplement);
+}
+
+TEST(PlacementTest, WinnerIsOptimalUnderEnumeration) {
+  // The search's winner, checked against a brute-force minimum of the enumerated
+  // complement over every assignment. Ties in exact arithmetic may go either way, so the
+  // winner must only be within rounding of the least complement.
+  Rng rng(4242);
+  const auto log_uniform = [&rng](double lo, double hi) {
+    return std::exp(std::log(lo) + rng.NextDouble() * (std::log(hi) - std::log(lo)));
+  };
+  for (int c = 0; c < 40; ++c) {
+    const int n = static_cast<int>(rng.NextInRange(2, 6));
+    const int r = static_cast<int>(rng.NextInRange(1, 3));
+    std::vector<double> base(static_cast<size_t>(n));
+    for (double& p : base) p = log_uniform(1e-4, 0.1);
+    std::vector<double> racks(static_cast<size_t>(r));
+    for (double& q : racks) q = log_uniform(1e-5, 0.05);
+
+    double least = 1.0;
+    std::vector<int> rack_of(static_cast<size_t>(n), 0);
+    while (true) {
+      least = std::min(least, EnumeratedSafeAndLive(base, racks, rack_of).complement());
+      int node = 0;
+      while (node < n && ++rack_of[node] == r) rack_of[node++] = 0;
+      if (node == n) break;
+    }
+    const PlacementResult best = OptimizeRackPlacement(base, racks);
+    EXPECT_NEAR(EnumeratedSafeAndLive(base, racks, best.rack_of).complement(), least,
+                1e-12 * least)
+        << "case " << c << " (n = " << n << ", r = " << r << ")";
+  }
 }
 
 TEST(PlacementTest, SpreadBeatsPacked) {

@@ -1,6 +1,8 @@
 #include "src/analysis/reliability.h"
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -78,6 +80,33 @@ TEST(ReliabilityAnalyzerTest, CorrelatedModelViaExactEnumeration) {
   const double expected =
       0.95 * std::pow(0.99, 4) + 0.05 * std::pow(0.99 * 0.1, 4);
   EXPECT_NEAR(all_up.value(), expected, 1e-12);
+}
+
+TEST(ReliabilityAnalyzerTest, FailureDomainModelsUseTheirCountLaw) {
+  const ReliabilityAnalyzer analyzer(std::make_unique<FailureDomainModel>(
+      std::vector<double>{0.01, 0.02, 0.005, 0.01, 0.03}, std::vector<int>{0, 1, 2, 0, 1},
+      std::vector<double>{0.002, 0.01, 0.004}));
+  const CountPredicate live = MakeRaftLivePredicate(RaftConfig::Standard(5));
+  std::atomic<uint64_t> configurations{0};
+  const auto automatic =
+      analyzer.TryEventProbability(live, AnalysisMethod::kAuto, nullptr, &configurations);
+  ASSERT_TRUE(automatic.ok());
+  EXPECT_EQ(configurations.load(), 0u);  // kAuto enumerated nothing.
+  const Probability count_dp = analyzer.EventProbability(live, AnalysisMethod::kCountDp);
+  EXPECT_EQ(automatic->complement(), count_dp.complement());
+  const Probability exact = analyzer.EventProbability(live, AnalysisMethod::kExact);
+  EXPECT_NEAR(count_dp.complement(), exact.complement(), 1e-12 * exact.complement());
+}
+
+TEST(ReliabilityAnalyzerTest, ModelsWithoutACountLawStillEnumerate) {
+  const ReliabilityAnalyzer analyzer(std::make_unique<BetaBinomialFailureModel>(6, 2.0, 18.0));
+  EXPECT_FALSE(analyzer.CountLaw().has_value());
+  std::atomic<uint64_t> configurations{0};
+  ASSERT_TRUE(analyzer
+                  .TryEventProbability(AtMostKFailures(2), AnalysisMethod::kAuto, nullptr,
+                                       &configurations)
+                  .ok());
+  EXPECT_EQ(configurations.load(), 64u);  // 2^6: kAuto fell back to enumeration.
 }
 
 TEST(ReliabilityReportTest, RaftUnsafeConfigReportsZeroSafety) {
